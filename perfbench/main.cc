@@ -95,12 +95,6 @@ uint64_t Mix(uint64_t a, uint64_t b) {
   return z ^ (z >> 31);
 }
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-}
-
 double Us(uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
 
 /// The durable state (device + log) and the engine over it. The device
@@ -146,11 +140,12 @@ struct Window {
   uint64_t commits = 0;
   uint64_t failures = 0;
   double seconds = 0;
-  LatencyHistogram latency;  ///< One sample per committed transaction.
+  SlicedSamples latency{1};  ///< One sample per committed transaction.
   bool acks_ok = true;
   Counters before, after;
 
-  double tps() const { return static_cast<double>(commits) / seconds; }
+  /// Committed transactions per second, median over one-second slices.
+  double tps() const { return latency.MedianRate(); }
   uint64_t delta(uint64_t Counters::*field) const {
     return after.*field - before.*field;
   }
@@ -161,17 +156,20 @@ struct Window {
 /// window of `seconds`. A transaction counts when it started inside the
 /// window and its CommitAsync succeeded; each client ends the window with
 /// WaitAll, so every counted commit is acknowledged before the clock stops.
+/// Latencies are kept per one-second slice of the window, by start time.
 Window RunWindow(Database& db, Workload& wl, uint64_t seed, int seconds,
                  const std::vector<int>& client_cpus, Tracer* tracer) {
   enum Phase { kWarmup, kMeasure, kStop };
   std::atomic<int> phase{kWarmup};
+  uint64_t start = 0;  // Written before phase turns kMeasure.
   // Cache-line aligned: each worker bumps its own counters per txn.
   struct alignas(64) PerWorker {
+    explicit PerWorker(int slices) : latency(slices) {}
     uint64_t attempts = 0, commits = 0, failures = 0, end_ns = 0;
-    LatencyHistogram latency;
+    SlicedSamples latency;
     bool acks_ok = true;
   };
-  std::vector<PerWorker> per(kWorkers);
+  std::vector<PerWorker> per(kWorkers, PerWorker(seconds));
   std::vector<std::thread> threads;
   for (int w = 0; w < kWorkers; ++w) {
     threads.emplace_back([&, w] {
@@ -195,7 +193,7 @@ Window RunWindow(Database& db, Workload& wl, uint64_t seed, int seconds,
         me.attempts++;
         if (ok) {
           me.commits++;
-          me.latency.Add(t1 - t0);
+          me.latency.Add(t0 - start, t1 - t0);
         } else {
           me.failures++;
         }
@@ -208,7 +206,7 @@ Window RunWindow(Database& db, Workload& wl, uint64_t seed, int seconds,
   Window out;
   out.before = Take(db);
   Tracer::Install(tracer);
-  uint64_t start = NowNs();
+  start = NowNs();
   phase.store(kMeasure, std::memory_order_release);
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
   phase.store(kStop, std::memory_order_release);
@@ -216,6 +214,7 @@ Window RunWindow(Database& db, Workload& wl, uint64_t seed, int seconds,
   Tracer::Install(nullptr);
   out.after = Take(db);
   uint64_t end = start;
+  out.latency = SlicedSamples(seconds);
   for (PerWorker& p : per) {
     out.attempts += p.attempts;
     out.commits += p.commits;
@@ -549,8 +548,10 @@ int Run(const Args& args) {
   Metrics metrics;
   if (!args.trace) {
     metrics.Add("tps", window.tps(), "1/s");
-    metrics.Add("p50_us", Us(window.latency.Percentile(0.50)), "us");
-    metrics.Add("p99_us", Us(window.latency.Percentile(0.99)), "us");
+    metrics.Add("p50_us", window.latency.MedianPercentile(0.50) / 1000.0,
+                "us");
+    metrics.Add("p99_us", window.latency.MedianPercentile(0.99) / 1000.0,
+                "us");
     metrics.Add("setup_s", Median(setup_s), "s");
     metrics.Add("recovery_s", Median(recovery_s), "s");
     metrics.Add("peak_rss_mb", PeakRssMb(), "MB");
@@ -566,11 +567,12 @@ int Run(const Args& args) {
   }
 
   std::printf("host: %s\n", host.c_str());
-  std::printf("%s: window %.3f s, %llu attempted, %llu committed, %llu failed, "
-              "latency n=%zu; setups %zu; recoveries %zu\n",
+  std::printf("%s: window %.3f s, %llu attempted, %llu committed (%.1f/s), "
+              "%llu failed, latency n=%zu; setups %zu; recoveries %zu\n",
               args.workload.c_str(), window.seconds,
               static_cast<unsigned long long>(window.attempts),
               static_cast<unsigned long long>(window.commits),
+              static_cast<double>(window.commits) / window.seconds,
               static_cast<unsigned long long>(window.failures),
               static_cast<size_t>(window.latency.count()), setup_s.size(),
               recovery_s.size());

@@ -112,9 +112,12 @@ sm::StorageOptions CommonOptions(size_t frames) {
 
 /// New-Order / Payment 50/50 at spec scale per warehouse, one home
 /// warehouse per terminal. The transaction bodies mirror
-/// workload/tpcc.cc call for call (including its id draws) so that every
-/// Session call can be wrapped in a span; HISTORY keys come from a
-/// per-warehouse sequence instead of a process-wide one.
+/// workload/tpcc.cc call for call so that every Session call can be
+/// wrapped in a span, with two differences: customer and item ids are
+/// drawn as NURand(A, 1, n), the loaded range, where workload/tpcc.cc
+/// draws 1 + NURand(A, 1, n) and so sometimes asks for the unloaded id
+/// n + 1; and HISTORY keys come from a per-warehouse sequence instead of
+/// a process-wide one.
 class Tpcc final : public Workload {
  public:
   enum TableIndex {
@@ -242,8 +245,8 @@ class Tpcc final : public Workload {
     Rng& rng = s->rng();
     uint32_t d = 1 + static_cast<uint32_t>(
                          rng.Uniform(cfg.districts_per_warehouse));
-    uint32_t c = 1 + static_cast<uint32_t>(
-                         rng.NonUniform(1023, 1, cfg.customers_per_district));
+    uint32_t c = static_cast<uint32_t>(
+        rng.NonUniform(1023, 1, cfg.customers_per_district));
     double amount = 1.0 + rng.NextDouble() * 4999.0;
 
     if (!TxBegin(s)) return false;
@@ -286,8 +289,8 @@ class Tpcc final : public Workload {
     Rng& rng = s->rng();
     uint32_t d = 1 + static_cast<uint32_t>(
                          rng.Uniform(cfg.districts_per_warehouse));
-    uint32_t c = 1 + static_cast<uint32_t>(
-                         rng.NonUniform(1023, 1, cfg.customers_per_district));
+    uint32_t c = static_cast<uint32_t>(
+        rng.NonUniform(1023, 1, cfg.customers_per_district));
     uint32_t ol_cnt = 5 + static_cast<uint32_t>(rng.Uniform(11));
 
     if (!TxBegin(s)) return false;
@@ -317,7 +320,7 @@ class Tpcc final : public Workload {
 
     for (uint32_t l = 1; l <= ol_cnt; ++l) {
       uint32_t i_id =
-          1 + static_cast<uint32_t>(rng.NonUniform(8191, 1, cfg.items));
+          static_cast<uint32_t>(rng.NonUniform(8191, 1, cfg.items));
       auto ir = TxReadRow<wl::ItemRow>(s, db_.item, wl::ItemKey(i_id));
       if (!ir.ok()) return TxAbort(s);
       uint64_t skey = wl::StockKey(home_w, i_id);
