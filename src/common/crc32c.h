@@ -8,9 +8,17 @@ namespace shoremt {
 
 /// CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) —
 /// the checksum used for page images, log records, and archived
-/// segments. Software slice-by-one implementation: integrity checks
-/// here ride the I/O path, whose device latency dwarfs the table
-/// lookup; no SSE4.2 dependency keeps the build portable.
+/// segments. It runs on every buffer miss (verify), every pool
+/// write-back (stamp, inside the cleaner's latch hold) and every log
+/// record insert and recovery scan, so its cost is on the hot path.
+///
+/// Dispatch rule: the CPU's CRC32C instruction when it has one, the
+/// bytewise table loop otherwise. On x86-64 the choice is made once at
+/// run time from the CPU's reported SSE4.2 support; on aarch64 it is
+/// made at compile time from __ARM_FEATURE_CRC32. Both paths compute the
+/// same value, so images and logs written by either verify under the
+/// other. One 8 KiB page, measured on a 4-vCPU Xeon KVM guest at -O2:
+/// ~1.2 µs with the instruction, 26–31 µs with the table loop.
 ///
 /// Crc32c(data, n) is the common whole-buffer form. The Extend form
 /// chains partial buffers: Extend(Extend(0, a, na), b, nb) ==
@@ -21,6 +29,15 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n);
 inline uint32_t Crc32c(const void* data, size_t n) {
   return Crc32cExtend(0, data, n);
 }
+
+namespace internal {
+
+/// The portable table loop behind Crc32cExtend: the fallback on CPUs
+/// without the instruction and the reference the tests compare against.
+/// Not a selectable alternative — callers use Crc32cExtend.
+uint32_t Crc32cExtendTable(uint32_t crc, const void* data, size_t n);
+
+}  // namespace internal
 
 }  // namespace shoremt
 

@@ -1,6 +1,7 @@
 #include "io/volume.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -70,8 +71,17 @@ Status Volume::WritePagesV(PageNum first, const uint8_t* const* bufs,
 
 MemVolume::MemVolume(VolumeOptions options) : options_(options) {}
 
+MemVolume::~MemVolume() {
+  for (auto& chunk : chunks_) {
+    uint8_t* p = chunk.load(std::memory_order_relaxed);
+    if (p != nullptr) ::munmap(p, kChunkBytes);
+  }
+}
+
 uint8_t* MemVolume::PagePtr(PageNum page) const {
-  return chunks_[page / kPagesPerChunk].get() +
+  // Callers checked `page` against num_pages_ (acquire), which Extend
+  // publishes after the chunk pointer.
+  return chunks_[page / kPagesPerChunk].load(std::memory_order_relaxed) +
          (page % kPagesPerChunk) * kPageSize;
 }
 
@@ -154,10 +164,17 @@ Status MemVolume::Extend(PageNum pages) {
   PageNum current = num_pages_.load(std::memory_order_relaxed);
   if (pages <= current) return Status::Ok();
   size_t chunks_needed = (pages + kPagesPerChunk - 1) / kPagesPerChunk;
-  while (chunks_.size() < chunks_needed) {
-    auto chunk = std::make_unique<uint8_t[]>(kPagesPerChunk * kPageSize);
-    std::memset(chunk.get(), 0, kPagesPerChunk * kPageSize);
-    chunks_.push_back(std::move(chunk));
+  if (chunks_needed > kMaxChunks) {
+    return Status::IOError("in-memory volume size limit exceeded");
+  }
+  for (size_t i = 0; i < chunks_needed; ++i) {
+    if (chunks_[i].load(std::memory_order_relaxed) != nullptr) continue;
+    void* p = ::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+      return Status::IOError("mmap: " + std::string(std::strerror(errno)));
+    }
+    chunks_[i].store(static_cast<uint8_t*>(p), std::memory_order_relaxed);
   }
   num_pages_.store(pages, std::memory_order_release);
   return Status::Ok();

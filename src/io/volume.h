@@ -1,6 +1,7 @@
 #ifndef SHOREMT_IO_VOLUME_H_
 #define SHOREMT_IO_VOLUME_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -122,6 +123,7 @@ class Volume {
 class MemVolume : public Volume {
  public:
   explicit MemVolume(VolumeOptions options = {});
+  ~MemVolume() override;
 
   Status ReadPage(PageNum page, void* out) override;
   Status WritePage(PageNum page, const void* data) override;
@@ -132,13 +134,19 @@ class MemVolume : public Volume {
   Status Extend(PageNum pages) override;
 
  private:
-  static constexpr PageNum kPagesPerChunk = 1024;
+  static constexpr PageNum kPagesPerChunk = 1024;  // 8 MiB per chunk.
+  static constexpr size_t kChunkBytes = kPagesPerChunk * kPageSize;
+  static constexpr size_t kMaxChunks = 4096;  // 32 GiB per volume.
 
   uint8_t* PagePtr(PageNum page) const;
 
   VolumeOptions options_;
-  mutable std::mutex growth_mutex_;
-  std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+  std::mutex growth_mutex_;
+  // Chunk directory with stable addresses: Extend only fills empty slots,
+  // so I/O threads index it without the growth mutex while it grows.
+  // Chunks are lazily zero-filled anonymous mappings: pages never written
+  // stay non-resident.
+  std::array<std::atomic<uint8_t*>, kMaxChunks> chunks_{};
   std::atomic<PageNum> num_pages_{0};
 };
 

@@ -315,67 +315,77 @@ Result<RecordId> StorageManager::HeapInsert(txn::Transaction* txn,
   if (payload.size() > page::SlottedPage::MaxRecordSize()) {
     return Status::InvalidArgument("row too large for a page");
   }
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    // Append target: the store's last page (cache vs chain walk is a
-    // space-manager knob, §7.6).
-    auto last = space_->LastPageOf(heap_store);
-    if (last.ok()) {
-      // §6.2.2: every insert verifies the page belongs to the right store
-      // (thread-local extent cache makes this cheap in later stages).
-      auto owner = space_->OwnerOf(*last);
-      if (owner.ok() && *owner == heap_store) {
-        SHOREMT_ASSIGN_OR_RETURN(PageHandle h,
-                                 pool_->FixPage(*last, LatchMode::kExclusive));
-        page::SlottedPage sp(h.data());
-        if (sp.header()->store == heap_store && sp.Fits(payload.size())) {
-          SHOREMT_ASSIGN_OR_RETURN(uint16_t slot, sp.Insert(payload));
-          log::LogRecord rec;
-          rec.type = log::LogRecordType::kPageInsert;
-          rec.page = *last;
-          rec.store = heap_store;
-          rec.slot = slot;
-          rec.txn = txn->id;
-          rec.prev_lsn = txn->last_lsn;
-          rec.after.assign(payload.begin(), payload.end());
-          SHOREMT_ASSIGN_OR_RETURN(log::Appended a, log_->Append(rec));
-          txns_->NoteLogged(txn, a.lsn, a.end);
-          h.MarkDirty(a.end, a.lsn);
-          return RecordId{*last, slot};
-        }
+  // Appends the row to the X-latched `page` and logs it.
+  auto place = [&](PageHandle& h, PageNum page) -> Result<RecordId> {
+    page::SlottedPage sp(h.data());
+    SHOREMT_ASSIGN_OR_RETURN(uint16_t slot, sp.Insert(payload));
+    log::LogRecord rec;
+    rec.type = log::LogRecordType::kPageInsert;
+    rec.page = page;
+    rec.store = heap_store;
+    rec.slot = slot;
+    rec.txn = txn->id;
+    rec.prev_lsn = txn->last_lsn;
+    rec.after.assign(payload.begin(), payload.end());
+    SHOREMT_ASSIGN_OR_RETURN(log::Appended a, log_->Append(rec));
+    txns_->NoteLogged(txn, a.lsn, a.end);
+    h.MarkDirty(a.end, a.lsn);
+    return RecordId{page, slot};
+  };
+
+  // Append target: the store's last page (cache vs chain walk is a
+  // space-manager knob, §7.6).
+  auto last = space_->LastPageOf(heap_store);
+  if (last.ok()) {
+    // §6.2.2: every insert verifies the page belongs to the right store
+    // (thread-local extent cache makes this cheap in later stages).
+    auto owner = space_->OwnerOf(*last);
+    if (owner.ok() && *owner == heap_store) {
+      SHOREMT_ASSIGN_OR_RETURN(PageHandle h,
+                               pool_->FixPage(*last, LatchMode::kExclusive));
+      // Under refactored_alloc the last page is published before its
+      // allocator formats it, so it may not be a page of this store yet.
+      page::SlottedPage sp(h.data());
+      if (sp.header()->store == heap_store && sp.Fits(payload.size())) {
+        return place(h, *last);
       }
     }
-    // No usable page: grow the store by one page and retry the insert on
-    // it (the init callback runs inside/outside the space critical
-    // section depending on the refactored_alloc knob — Figure 6).
-    auto init = [&](PageNum p) -> Status {
-      SHOREMT_ASSIGN_OR_RETURN(PageHandle h, pool_->NewPage(p));
-      page::SlottedPage sp(h.data());
-      sp.Init(p, heap_store, page::PageType::kData);
-      log::LogRecord rec;
-      rec.type = log::LogRecordType::kPageFormat;
-      rec.page = p;
-      rec.store = heap_store;
-      rec.page_type = static_cast<uint8_t>(page::PageType::kData);
-      rec.txn = txn->id;
-      rec.prev_lsn = txn->last_lsn;
-      SHOREMT_ASSIGN_OR_RETURN(log::Appended a, log_->Append(rec));
-      txns_->NoteLogged(txn, a.lsn, a.end);
-      h.MarkDirty(a.end, a.lsn);
-      return Status::Ok();
-    };
-    SHOREMT_ASSIGN_OR_RETURN(PageNum fresh,
-                             space_->AllocatePage(heap_store, init));
-    log::LogRecord alloc;
-    alloc.type = log::LogRecordType::kAllocPage;
-    alloc.page = fresh;
-    alloc.store = heap_store;
-    alloc.txn = txn->id;
-    alloc.prev_lsn = txn->last_lsn;
-    SHOREMT_ASSIGN_OR_RETURN(log::Appended a, log_->Append(alloc));
-    txns_->NoteLogged(txn, a.lsn, a.end);
-    // Loop: the fresh page is now the store's last page.
   }
-  return Status::Internal("heap insert failed to place the row");
+
+  // No usable page: grow the store by one page (the init callback runs
+  // inside/outside the space critical section depending on the
+  // refactored_alloc knob — Figure 6). The init keeps the fresh page
+  // X-latched, so no concurrent inserter can fill it before this row
+  // lands on it.
+  PageHandle formatted;
+  auto init = [&](PageNum p) -> Status {
+    SHOREMT_ASSIGN_OR_RETURN(PageHandle h, pool_->NewPage(p));
+    page::SlottedPage sp(h.data());
+    sp.Init(p, heap_store, page::PageType::kData);
+    log::LogRecord rec;
+    rec.type = log::LogRecordType::kPageFormat;
+    rec.page = p;
+    rec.store = heap_store;
+    rec.page_type = static_cast<uint8_t>(page::PageType::kData);
+    rec.txn = txn->id;
+    rec.prev_lsn = txn->last_lsn;
+    SHOREMT_ASSIGN_OR_RETURN(log::Appended a, log_->Append(rec));
+    txns_->NoteLogged(txn, a.lsn, a.end);
+    h.MarkDirty(a.end, a.lsn);
+    formatted = std::move(h);
+    return Status::Ok();
+  };
+  SHOREMT_ASSIGN_OR_RETURN(PageNum fresh,
+                           space_->AllocatePage(heap_store, init));
+  log::LogRecord alloc;
+  alloc.type = log::LogRecordType::kAllocPage;
+  alloc.page = fresh;
+  alloc.store = heap_store;
+  alloc.txn = txn->id;
+  alloc.prev_lsn = txn->last_lsn;
+  SHOREMT_ASSIGN_OR_RETURN(log::Appended a, log_->Append(alloc));
+  txns_->NoteLogged(txn, a.lsn, a.end);
+  return place(formatted, fresh);
 }
 
 Result<RecordId> StorageManager::Insert(txn::Transaction* txn,

@@ -19,15 +19,15 @@ void HybridMutex::lock() {
       return;
     }
   }
-  // Slow path: mark the lock as having sleepers and park.
+  // Slow path: mark the lock as having sleepers and park. Every wakeup
+  // re-marks state 2 before sleeping again: a spinner may have taken the
+  // lock 0 -> 1 between our wakeup and this re-check, erasing the mark,
+  // and its unlock would then see 1 and never notify us.
   std::unique_lock<std::mutex> guard(os_mutex_);
-  for (;;) {
-    int prev = state_.exchange(2, std::memory_order_acquire);
-    if (prev == 0) break;  // We now hold it (in state 2).
-    cv_.wait(guard, [this] {
-      return state_.load(std::memory_order_relaxed) == 0;
-    });
+  while (state_.exchange(2, std::memory_order_acquire) != 0) {
+    cv_.wait(guard);
   }
+  // We now hold it (in state 2).
   if (stats_ != nullptr) stats_->RecordAcquire(true, NowNanos() - start);
 }
 

@@ -96,8 +96,7 @@ bool RunPayment(sm::Session* session, TpccDatabase* db, uint32_t home_w,
   Rng& rng = session->rng();
   uint32_t d = 1 + static_cast<uint32_t>(rng.Uniform(
                       cfg.districts_per_warehouse));
-  uint32_t c = 1 + static_cast<uint32_t>(
-                      rng.NonUniform(1023, 1, cfg.customers_per_district));
+  uint32_t c = DrawCustomerId(rng, cfg);
   double amount = 1.0 + rng.NextDouble() * 4999.0;
 
   if (!session->Begin().ok()) return false;
@@ -147,8 +146,7 @@ bool RunNewOrder(sm::Session* session, TpccDatabase* db, uint32_t home_w,
   Rng& rng = session->rng();
   uint32_t d = 1 + static_cast<uint32_t>(rng.Uniform(
                       cfg.districts_per_warehouse));
-  uint32_t c = 1 + static_cast<uint32_t>(
-                      rng.NonUniform(1023, 1, cfg.customers_per_district));
+  uint32_t c = DrawCustomerId(rng, cfg);
   uint32_t ol_cnt = 5 + static_cast<uint32_t>(rng.Uniform(11));  // 5..15.
 
   if (!session->Begin().ok()) return false;
@@ -191,8 +189,7 @@ bool RunNewOrder(sm::Session* session, TpccDatabase* db, uint32_t home_w,
   // Order lines: ITEM reads + STOCK updates (the shared hotspot that
   // causes the paper's dip around 16 clients, Figure 5 left).
   for (uint32_t l = 1; l <= ol_cnt; ++l) {
-    uint32_t i_id = 1 + static_cast<uint32_t>(
-                        rng.NonUniform(8191, 1, cfg.items));
+    uint32_t i_id = DrawItemId(rng, cfg);
     auto ir = ReadTpccRow<ItemRow>(session, db->item, ItemKey(i_id));
     if (!ir.ok()) return fail();
     uint64_t skey = StockKey(home_w, i_id);

@@ -111,6 +111,16 @@ Result<T> ReadTpccRow(sm::Session* session, const sm::TableInfo& table,
   return row;
 }
 
+/// TPC-C NURand id draws (spec §2.1.6), over exactly the ids LoadTpcc
+/// populates: customers [1, customers_per_district], items [1, items].
+inline uint32_t DrawCustomerId(Rng& rng, const TpccConfig& cfg) {
+  return static_cast<uint32_t>(
+      rng.NonUniform(1023, 1, cfg.customers_per_district));
+}
+inline uint32_t DrawItemId(Rng& rng, const TpccConfig& cfg) {
+  return static_cast<uint32_t>(rng.NonUniform(8191, 1, cfg.items));
+}
+
 /// The loaded database: table handles + config.
 struct TpccDatabase {
   TpccConfig config;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -73,6 +74,58 @@ TEST(VolumeVectored, BoundsCheckedAsAWhole) {
   EXPECT_FALSE(vol->ReadPagesV(3, ptrs, 2).ok());
   const uint8_t* cptrs[2] = {a.data(), b.data()};
   EXPECT_FALSE(vol->WritePagesV(3, cptrs, 2).ok());
+}
+
+TEST(VolumeVectored, MemVolumeExtendRacesReadsAndWrites) {
+  // I/O workers index the chunk directory without the growth mutex, so
+  // growth must never move it. Readers verify fingerprints and the
+  // zero-filled tail the extender just published; the writer rewrites
+  // its own pages in place.
+  constexpr PageNum kBase = 64;
+  constexpr PageNum kStep = 1024;  // One chunk per Extend.
+  constexpr int kSteps = 15;
+  auto vol = MakeVolume(kBase);
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> io;
+  for (int r = 0; r < 2; ++r) {
+    io.emplace_back([&, r] {
+      std::vector<uint8_t> buf(kPageSize);
+      for (PageNum i = r; !done.load(); ++i) {
+        PageNum p = i % (kBase / 2);
+        if (!vol->ReadPage(p, buf.data()).ok() ||
+            !PageHasFingerprint(buf.data(), p)) {
+          bad.fetch_add(1);
+        }
+        PageNum tail = vol->NumPages() - 1;
+        if (tail >= kBase && (!vol->ReadPage(tail, buf.data()).ok() ||
+                              buf[0] != 0 || buf[kPageSize - 1] != 0)) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  io.emplace_back([&] {
+    std::vector<uint8_t> buf(kPageSize);
+    for (PageNum i = 0; !done.load(); ++i) {
+      PageNum p = kBase / 2 + i % (kBase / 2);
+      std::memset(buf.data(), static_cast<int>(p % 251), kPageSize);
+      if (!vol->WritePage(p, buf.data()).ok()) bad.fetch_add(1);
+    }
+  });
+  for (int s = 1; s <= kSteps; ++s) {
+    EXPECT_TRUE(vol->Extend(kBase + s * kStep).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  done.store(true);
+  for (auto& t : io) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(vol->NumPages(), kBase + kSteps * kStep);
+  std::vector<uint8_t> buf(kPageSize);
+  for (PageNum p = 0; p < kBase; ++p) {
+    ASSERT_TRUE(vol->ReadPage(p, buf.data()).ok());
+    EXPECT_TRUE(PageHasFingerprint(buf.data(), p)) << "page " << p;
+  }
 }
 
 TEST(VolumeVectored, FileVolumePreadvPwritev) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,6 +212,64 @@ TEST(SessionTest, HarvestTotalsMatchPerSessionCounts) {
   EXPECT_EQ(expected.reads,
             uint64_t{kThreads} * kTxnsPerThread * kInsertsPerTxn);
   EXPECT_GT(expected.log_bytes, 0u);
+}
+
+TEST(SessionTest, ConcurrentInsertsIntoOneHeapNeverFailToPlace) {
+  // Wide rows make every few inserts grow the heap, so sessions race
+  // page allocation constantly. With allocation published before the
+  // new page is formatted, an inserter must still land on the page it
+  // formatted itself rather than give up on a neighbour's blank page.
+  Harness h;
+  TableInfo table;
+  {
+    auto setup = h.sm->OpenSession();
+    ASSERT_TRUE(setup->Begin().ok());
+    auto t = setup->CreateTable("t");
+    ASSERT_TRUE(t.ok());
+    table = *t;
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+  constexpr int kThreads = 6;
+  constexpr int kRowsPerThread = 1200;
+  constexpr int kRowsPerTxn = 8;
+  const std::vector<uint8_t> row(1500, 0x6B);
+  std::atomic<int> failures{0};
+  std::mutex first_error_mu;
+  std::string first_error;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      auto session = h.sm->OpenSession();
+      for (int i = 0; i < kRowsPerThread; i += kRowsPerTxn) {
+        Status st = session->Begin();
+        for (int k = i; st.ok() && k < i + kRowsPerTxn; ++k) {
+          uint64_t key = (static_cast<uint64_t>(t) << 32) | k;
+          st = session->Insert(table, key, row).status();
+        }
+        if (st.ok()) st = session->Commit();
+        if (!st.ok()) {
+          failures.fetch_add(1);
+          std::lock_guard<std::mutex> g(first_error_mu);
+          if (first_error.empty()) first_error = st.ToString();
+          (void)session->Abort();
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(failures.load(), 0) << first_error;
+
+  auto reader = h.sm->OpenSession();
+  ASSERT_TRUE(reader->Begin().ok());
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kRowsPerThread; ++k) {
+      uint64_t key = (static_cast<uint64_t>(t) << 32) | k;
+      auto got = reader->Read(table, key);
+      ASSERT_TRUE(got.ok()) << "key " << key;
+      ASSERT_EQ(got->size(), row.size());
+    }
+  }
+  ASSERT_TRUE(reader->Commit().ok());
 }
 
 TEST(SessionTest, ApplyCommitsWholeBatch) {

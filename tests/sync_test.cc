@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -118,6 +122,57 @@ TEST(HybridMutexTest, ContendedSleepersWakeUp) {
   lock.unlock();
   for (auto& w : workers) w.join();
   EXPECT_EQ(entered.load(), kThreads);
+}
+
+// Regression: a parked waiter that wakes while a try_lock thief holds the
+// lock must re-mark "sleepers" before parking again, or the thief's
+// unlock sees a plain "held" state, skips the notify, and the waiter
+// sleeps forever. More threads than CPUs force the slow path; a hang
+// fails the test at the deadline instead of stalling the suite.
+TEST(HybridMutexTest, ParkedWaitersSurviveTryLockThief) {
+  HybridMutex lock;
+  const int threads =
+      2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency())) +
+      2;
+  constexpr int kIters = 20000;
+  int64_t counter = 0;
+  int64_t stolen = 0;
+  std::atomic<int> finished{0};
+  std::atomic<bool> stop_thief{false};
+  std::vector<std::thread> workers;
+  for (int i = 0; i < threads; ++i) {
+    workers.emplace_back([&] {
+      for (int j = 0; j < kIters; ++j) {
+        std::lock_guard<HybridMutex> guard(lock);
+        ++counter;
+      }
+      finished.fetch_add(1);
+    });
+  }
+  std::thread thief([&] {
+    while (!stop_thief.load(std::memory_order_relaxed)) {
+      if (lock.try_lock()) {
+        ++counter;
+        ++stolen;
+        lock.unlock();
+      }
+    }
+  });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < threads) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      // Hung waiters cannot be joined; fail loudly instead of blocking.
+      ADD_FAILURE() << "lost wakeup: " << threads - finished.load()
+                    << " waiters still parked after the deadline";
+      std::fflush(nullptr);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop_thief.store(true);
+  thief.join();
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(counter, int64_t{threads} * kIters + stolen);
 }
 
 TEST(McsLockTest, MutualExclusion) {

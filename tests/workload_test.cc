@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "io/volume.h"
@@ -250,6 +251,36 @@ TEST_F(TpccTest, NewOrderIdsAreDense) {
     EXPECT_EQ(orders, dr.next_o_id - 1) << "district " << d;
   }
   ASSERT_TRUE(session->Commit().ok());
+}
+
+TEST_F(TpccTest, DrawnIdsStayInTheLoadedRange) {
+  const TpccConfig& cfg = db_.config;
+  Rng rng(4);
+  uint32_t max_c = 0, max_i = 0;
+  for (int n = 0; n < 100000; ++n) {
+    uint32_t c = DrawCustomerId(rng, cfg);
+    uint32_t i = DrawItemId(rng, cfg);
+    ASSERT_GE(c, 1u);
+    ASSERT_LE(c, cfg.customers_per_district);
+    ASSERT_GE(i, 1u);
+    ASSERT_LE(i, cfg.items);
+    max_c = std::max(max_c, c);
+    max_i = std::max(max_i, i);
+  }
+  // The whole loaded range is reachable, up to the last id.
+  EXPECT_EQ(max_c, cfg.customers_per_district);
+  EXPECT_EQ(max_i, cfg.items);
+}
+
+TEST_F(TpccTest, SeededDriverRunNeverAbortsOnMissingRows) {
+  // One terminal takes no conflicting locks, so any abort here is a
+  // NotFound for a customer or item id outside the loaded range.
+  auto r = RunDriver(1, 0, 300, [&](int, Rng& rng) {
+    return rng.Bernoulli(0.5) ? RunPayment(h_.session.get(), &db_, 1)
+                              : RunNewOrder(h_.session.get(), &db_, 2);
+  });
+  EXPECT_GT(r.txns, 50u);
+  EXPECT_EQ(r.aborts, 0u);
 }
 
 // ------------------------------------------------------ engine profiles ---
