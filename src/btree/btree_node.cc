@@ -82,13 +82,25 @@ std::vector<uint8_t> BTreeNode::SerializeContent() const {
   return out;
 }
 
-void BTreeNode::RestoreContent(std::span<const uint8_t> blob) {
+bool BTreeNode::RestoreContent(std::span<const uint8_t> blob) {
+  constexpr size_t kLinks = 2 * sizeof(PageNum);
+  NodeHeader h;
+  if (blob.size() < kLinks + sizeof(h)) return false;
+  std::memcpy(&h, blob.data() + kLinks, sizeof(h));
+  if (h.count > kMaxEntries ||
+      blob.size() != kLinks + sizeof(h) + h.count * sizeof(BTreeEntry)) {
+    return false;
+  }
   page::PageHeader* ph = page::HeaderOf(data_);
   std::memcpy(&ph->next_page, blob.data(), sizeof(PageNum));
   std::memcpy(&ph->prev_page, blob.data() + sizeof(PageNum), sizeof(PageNum));
-  std::memcpy(data_ + sizeof(page::PageHeader),
-              blob.data() + 2 * sizeof(PageNum),
-              blob.size() - 2 * sizeof(PageNum));
+  std::memcpy(data_ + sizeof(page::PageHeader), blob.data() + kLinks,
+              blob.size() - kLinks);
+  // The blob carries the level, not the page type: a root split re-Inits
+  // the root one level up in place and logs only its new content.
+  ph->type = IsLeaf() ? page::PageType::kBTreeLeaf
+                      : page::PageType::kBTreeInternal;
+  return true;
 }
 
 uint64_t BTreeNode::SplitInto(BTreeNode* right) {

@@ -78,8 +78,11 @@ class BTreeNode {
   /// Serializes the node payload (NodeHeader + entries) — the redo blob
   /// for kBtreeSetContent records.
   std::vector<uint8_t> SerializeContent() const;
-  /// Restores a node payload produced by SerializeContent.
-  void RestoreContent(std::span<const uint8_t> blob);
+  /// Restores a node payload produced by SerializeContent, and the page
+  /// type its level implies. Returns false, leaving the image untouched,
+  /// when the blob's length does not match the entry count it declares or
+  /// the count does not fit a page.
+  bool RestoreContent(std::span<const uint8_t> blob);
 
   /// Moves the upper half of this node's entries into `right` (freshly
   /// initialized, same level) and returns the first key of `right`.

@@ -100,6 +100,22 @@ bool LockManager::AddWaitEdges(Shard& home, TxnId waiter,
     TxnId holder = home.pool[g].txn;
     if (holder != waiter) holders.push_back(holder);
   }
+  // Grants are FIFO, so a conflicting request queued ahead of ours will
+  // block us once granted: without an edge to it, a hand-off to an earlier
+  // waiter hides a cycle through the new holder until the timeout. A
+  // compatible one may be granted with us, and its edge would fake cycles.
+  auto wanted = [](const LockRequest& r) {
+    return r.is_upgrade ? r.convert_to : r.mode;
+  };
+  // Both callers queue the waiter's request before calling here.
+  auto own = std::find_if(
+      head.waiting.begin(), head.waiting.end(),
+      [&](uint32_t w) { return home.pool[w].txn == waiter; });
+  LockMode mode = wanted(home.pool[*own]);
+  for (auto it = head.waiting.begin(); it != own; ++it) {
+    const LockRequest& ahead = home.pool[*it];
+    if (!Compatible(wanted(ahead), mode)) holders.push_back(ahead.txn);
+  }
   // Lock every partition in index order (shard mutexes are never acquired
   // while a wfg mutex is held, so the order is deadlock-free) and query a
   // consistent merged snapshot. Holding all partition mutexes serializes

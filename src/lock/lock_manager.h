@@ -170,11 +170,11 @@ class LockManager {
   void ProcessQueue(Shard& shard, LockHead& head);
 
   /// Waits-for maintenance (kWaitsForGraph policy). Registers `waiter` →
-  /// each holder edge in `home`'s partition; returns false if doing so
-  /// closes a cycle through `waiter` (nothing is then published). The
-  /// check locks every partition in index order and queries an
-  /// epoch-stamped merge of them, rebuilt only when some partition
-  /// changed since the last check.
+  /// each holder and each conflicting request queued ahead of it in
+  /// `home`'s partition; returns false if doing so closes a cycle through
+  /// `waiter` (nothing is then published). The check locks every
+  /// partition in index order and queries an epoch-stamped merge of them,
+  /// rebuilt only when some partition changed since the last check.
   bool AddWaitEdges(Shard& home, TxnId waiter, const LockHead& head,
                     uint32_t self);
   void RemoveWaitEdges(Shard& home, TxnId waiter);

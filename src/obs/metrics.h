@@ -68,9 +68,10 @@ enum class Metric : uint32_t {
   kBtreeOptimisticDescents, ///< Descents completed without latching.
   kBtreeRestarts,           ///< Validation failures that restarted a descent.
   kBtreeLatchFallbacks,     ///< Descents that gave up and took latches.
+  kCount,  ///< Sentinel, not a metric: keep it last.
 };
 
-inline constexpr size_t kMetricCount = 42;
+inline constexpr size_t kMetricCount = static_cast<size_t>(Metric::kCount);
 
 /// Gauges report a level, not a monotone count: the profiling feed emits
 /// their raw value each tick instead of a delta, and keeps no high-water
@@ -124,6 +125,7 @@ constexpr std::string_view MetricName(Metric m) {
       return "btree_optimistic_descents";
     case Metric::kBtreeRestarts: return "btree_restarts";
     case Metric::kBtreeLatchFallbacks: return "btree_latch_fallbacks";
+    case Metric::kCount: break;
   }
   return "?";
 }

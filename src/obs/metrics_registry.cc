@@ -22,21 +22,22 @@ WorkerCounters* MetricsRegistry::RegisterWorker() {
 void MetricsRegistry::UnregisterWorker(WorkerCounters* wc) {
   if (wc == nullptr) return;
   // Move each counter from the slot into the retired accumulator. The
-  // exchange empties the slot before the fold lands, so a concurrent
+  // exchange empties the slot before the (release) fold lands, and
+  // Snapshot reads the retired side first (acquire), so a concurrent
   // Snapshot sees the value in at most one place (never both): totals can
   // transiently dip by one worker's contribution, never double-count.
   for (size_t i = 0; i < kMetricCount; ++i) {
     uint64_t v = wc->counters_[i].exchange(0, std::memory_order_relaxed);
-    if (v != 0) retired_[i].fetch_add(v, std::memory_order_relaxed);
+    if (v != 0) retired_[i].fetch_add(v, std::memory_order_release);
   }
   for (int i = 0; i < kLatencyBuckets; ++i) {
     uint64_t v = wc->latency_buckets_[i].exchange(0, std::memory_order_relaxed);
-    if (v != 0) retired_latency_[i].fetch_add(v, std::memory_order_relaxed);
+    if (v != 0) retired_latency_[i].fetch_add(v, std::memory_order_release);
   }
   uint64_t c = wc->latency_count_.exchange(0, std::memory_order_relaxed);
-  if (c != 0) retired_latency_count_.fetch_add(c, std::memory_order_relaxed);
+  if (c != 0) retired_latency_count_.fetch_add(c, std::memory_order_release);
   uint64_t s = wc->latency_sum_.exchange(0, std::memory_order_relaxed);
-  if (s != 0) retired_latency_sum_.fetch_add(s, std::memory_order_relaxed);
+  if (s != 0) retired_latency_sum_.fetch_add(s, std::memory_order_release);
   // Release pairs with RegisterWorker's acquire-CAS.
   wc->used_.store(false, std::memory_order_release);
 }
@@ -48,6 +49,17 @@ void MetricsRegistry::AddSource(Source source) {
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
+  // Retired side first: reading a slot before its fold and the retired
+  // total after it would count the worker twice.
+  for (size_t i = 0; i < kMetricCount; ++i) {
+    snap.totals[i] += retired_[i].load(std::memory_order_acquire);
+  }
+  for (int i = 0; i < kLatencyBuckets; ++i) {
+    snap.latency.buckets[i] +=
+        retired_latency_[i].load(std::memory_order_acquire);
+  }
+  snap.latency.count += retired_latency_count_.load(std::memory_order_acquire);
+  snap.latency.sum += retired_latency_sum_.load(std::memory_order_acquire);
   // Sum every slot regardless of its used flag: a block mid-unregister
   // contributes through whichever side (slot or retired) its values
   // currently sit on.
@@ -63,15 +75,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.latency.count += slot.latency_count_.load(std::memory_order_relaxed);
     snap.latency.sum += slot.latency_sum_.load(std::memory_order_relaxed);
   }
-  for (size_t i = 0; i < kMetricCount; ++i) {
-    snap.totals[i] += retired_[i].load(std::memory_order_relaxed);
-  }
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    snap.latency.buckets[i] +=
-        retired_latency_[i].load(std::memory_order_relaxed);
-  }
-  snap.latency.count += retired_latency_count_.load(std::memory_order_relaxed);
-  snap.latency.sum += retired_latency_sum_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> guard(source_mutex_);
     for (const Source& src : sources_) src(&snap.totals);

@@ -13,7 +13,8 @@ namespace shoremt::repl {
 Result<std::unique_ptr<RestoredInstance>> RestoreToLsn(
     const std::string& archive_dir, const log::LogStorage* live, Lsn target,
     sm::StorageOptions opts) {
-  SHOREMT_ASSIGN_OR_RETURN(LogArchive archive, LogArchive::Open(archive_dir));
+  SHOREMT_ASSIGN_OR_RETURN(log::LogArchive archive,
+                           log::LogArchive::Open(archive_dir));
 
   auto inst = std::make_unique<RestoredInstance>();
   size_t segment_bytes = archive.empty()

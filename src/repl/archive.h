@@ -16,13 +16,6 @@
 
 namespace shoremt::repl {
 
-/// The archive reader moved down into the log layer (log/log_archive.h)
-/// so the storage manager's media auto-repair can replay archived
-/// records without an sm → repl dependency cycle; these aliases keep
-/// the original repl-side spelling working.
-using ArchivedSegment = log::ArchivedSegment;
-using LogArchive = log::LogArchive;
-
 /// A point-in-time-restored engine instance. Declaration order matters:
 /// the manager is destroyed first (it borrows the log and volume).
 struct RestoredInstance {

@@ -6,8 +6,8 @@
 #include <chrono>
 #include <vector>
 
+#include "log/log_archive.h"
 #include "obs/metrics.h"
-#include "repl/archive.h"
 #include "repl/framing.h"
 
 namespace shoremt::repl {
@@ -138,8 +138,9 @@ Status SegmentShipper::ShipNext(bool* progressed) {
           "replica requires log offset " + std::to_string(cursor_) +
           " which was recycled and no archive_dir is configured");
     }
-    SHOREMT_ASSIGN_OR_RETURN(LogArchive archive, LogArchive::Open(dir));
-    const ArchivedSegment* seg = archive.SegmentAt(cursor_);
+    SHOREMT_ASSIGN_OR_RETURN(log::LogArchive archive,
+                             log::LogArchive::Open(dir));
+    const log::ArchivedSegment* seg = archive.SegmentAt(cursor_);
     if (seg == nullptr) {
       return Status::IOError("log offset " + std::to_string(cursor_) +
                              " is in neither the live log nor the archive");

@@ -50,6 +50,97 @@ Status DeserializeTableInfo(std::span<const uint8_t> data, TableInfo* info) {
   return Status::Ok();
 }
 
+/// True for the record types whose action changes an existing page image.
+bool UpdatesPage(log::LogRecordType type) {
+  using log::LogRecordType;
+  switch (type) {
+    case LogRecordType::kPageInsert:
+    case LogRecordType::kPageUpdate:
+    case LogRecordType::kPageDelete:
+    case LogRecordType::kBtreeInsert:
+    case LogRecordType::kBtreeDelete:
+    case LogRecordType::kBtreeSetContent:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The page action `rec` carries: its own type, or for a CLR the embedded
+/// inverse action (always a page update; anything else carries none).
+log::LogRecordType PageAction(const log::LogRecord& rec) {
+  if (rec.type != log::LogRecordType::kClr) return rec.type;
+  auto action = static_cast<log::LogRecordType>(rec.page_type);
+  return UpdatesPage(action) ? action : log::LogRecordType::kNoop;
+}
+
+/// Unpacks the single {key, value} entry of a B-tree record's payload.
+/// Payloads arrive from the log device, the archive or the replication
+/// socket, so the length is checked rather than trusted.
+Status ReadEntry(std::span<const uint8_t> payload, btree::BTreeEntry* e) {
+  if (payload.size() != sizeof(*e)) {
+    return Status::Corruption("B-tree record payload of " +
+                              std::to_string(payload.size()) + " bytes");
+  }
+  std::memcpy(e, payload.data(), sizeof(*e));
+  return Status::Ok();
+}
+
+/// Applies `rec`'s page action to the raw image `img`. This is the one
+/// place a log record becomes page bytes: restart redo, replica replay,
+/// media repair and heap undo all call it. A CLR applies its embedded
+/// action over its own page, slot and payloads. The page LSN is never
+/// touched — each caller keeps its own idempotence rule. Metadata records
+/// are no-ops.
+Status ApplyToImage(const log::LogRecord& rec, uint8_t* img) {
+  using log::LogRecordType;
+  LogRecordType action = PageAction(rec);
+  // An unformatted or misdirected image means the WAL invariants were
+  // violated upstream; surface it instead of writing through garbage
+  // offsets.
+  if (UpdatesPage(action) && !page::PageLooksValid(img, rec.page)) {
+    return Status::Corruption("log record applied to an invalid image of "
+                              "page " + std::to_string(rec.page));
+  }
+  btree::BTreeEntry e;
+  switch (action) {
+    case LogRecordType::kPageFormat: {
+      auto type = static_cast<page::PageType>(rec.page_type);
+      if (type == page::PageType::kData) {
+        page::SlottedPage(img).Init(rec.page, rec.store, type);
+      } else {
+        btree::BTreeNode(img).Init(rec.page, rec.store,
+                                   type == page::PageType::kBTreeLeaf ? 0 : 1);
+      }
+      return Status::Ok();
+    }
+    case LogRecordType::kPageInsert:
+      return page::SlottedPage(img).InsertAt(rec.slot, rec.after);
+    case LogRecordType::kPageUpdate:
+      return page::SlottedPage(img).Update(rec.slot, rec.after);
+    case LogRecordType::kPageDelete:
+      return page::SlottedPage(img).Delete(rec.slot);
+    case LogRecordType::kBtreeInsert:
+      SHOREMT_RETURN_NOT_OK(ReadEntry(rec.after, &e));
+      btree::BTreeNode(img).InsertSorted(e.key, e.value);
+      return Status::Ok();
+    case LogRecordType::kBtreeDelete:
+      SHOREMT_RETURN_NOT_OK(ReadEntry(rec.before, &e));
+      btree::BTreeNode(img).RemoveKey(e.key);
+      return Status::Ok();
+    case LogRecordType::kBtreeSetContent:
+      if (!btree::BTreeNode(img).RestoreContent(rec.after)) {
+        return Status::Corruption("B-tree content blob of " +
+                                  std::to_string(rec.after.size()) +
+                                  " bytes does not fit page " +
+                                  std::to_string(rec.page));
+      }
+      return Status::Ok();
+    default:
+      return Status::Ok();  // Metadata records carry no page bytes.
+  }
+}
+
 }  // namespace
 
 StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
@@ -592,80 +683,50 @@ Status StorageManager::UndoRecord(txn::Transaction* txn, TxnId txn_id,
   clr.store = rec.store;
 
   PageHandle handle;
+  btree::BTreeEntry e;
   switch (rec.type) {
-    case LogRecordType::kPageInsert: {
-      if (!log_only) {
-        SHOREMT_ASSIGN_OR_RETURN(
-            handle, pool_->FixPage(rec.page, LatchMode::kExclusive));
-        page::SlottedPage sp(handle.data());
-        SHOREMT_RETURN_NOT_OK(sp.Delete(rec.slot));
-      }
-      clr.page = rec.page;
-      clr.slot = rec.slot;
-      clr.page_type = static_cast<uint8_t>(LogRecordType::kPageDelete);
-      break;
-    }
-    case LogRecordType::kPageUpdate: {
-      if (!log_only) {
-        SHOREMT_ASSIGN_OR_RETURN(
-            handle, pool_->FixPage(rec.page, LatchMode::kExclusive));
-        page::SlottedPage sp(handle.data());
-        SHOREMT_RETURN_NOT_OK(sp.Update(rec.slot, rec.before));
-      }
-      clr.page = rec.page;
-      clr.slot = rec.slot;
-      clr.page_type = static_cast<uint8_t>(LogRecordType::kPageUpdate);
-      clr.after = rec.before;
-      break;
-    }
+    case LogRecordType::kPageInsert:
+    case LogRecordType::kPageUpdate:
     case LogRecordType::kPageDelete: {
+      // The CLR carries the inverse action over the same slot; the page
+      // gets it through the applier restart redo will replay it with.
+      clr.page = rec.page;
+      clr.slot = rec.slot;
+      LogRecordType inverse = rec.type == LogRecordType::kPageInsert
+                                  ? LogRecordType::kPageDelete
+                              : rec.type == LogRecordType::kPageDelete
+                                  ? LogRecordType::kPageInsert
+                                  : LogRecordType::kPageUpdate;
+      clr.page_type = static_cast<uint8_t>(inverse);
+      clr.after = rec.before;
       if (!log_only) {
         SHOREMT_ASSIGN_OR_RETURN(
             handle, pool_->FixPage(rec.page, LatchMode::kExclusive));
-        page::SlottedPage sp(handle.data());
-        SHOREMT_RETURN_NOT_OK(sp.InsertAt(rec.slot, rec.before));
+        SHOREMT_RETURN_NOT_OK(ApplyToImage(clr, handle.data()));
       }
-      clr.page = rec.page;
-      clr.slot = rec.slot;
-      clr.page_type = static_cast<uint8_t>(LogRecordType::kPageInsert);
-      clr.after = rec.before;
       break;
     }
-    case LogRecordType::kBtreeInsert: {
-      btree::BTree* index = nullptr;
-      {
-        std::lock_guard<std::mutex> guard(catalog_mutex_);
-        auto it = indexes_.find(rec.store);
-        if (it != indexes_.end()) index = it->second.get();
-      }
-      if (index == nullptr) return Status::Internal("undo: unknown index");
-      btree::BTreeEntry e;
-      std::memcpy(&e, rec.after.data(), sizeof(e));
-      uint64_t removed;
-      PageNum leaf;
-      SHOREMT_ASSIGN_OR_RETURN(handle,
-                               index->RemoveUnlogged(e.key, &removed, &leaf));
-      clr.page = leaf;
-      clr.page_type = static_cast<uint8_t>(LogRecordType::kBtreeDelete);
-      clr.before = rec.after;
-      break;
-    }
+    case LogRecordType::kBtreeInsert:
     case LogRecordType::kBtreeDelete: {
-      btree::BTree* index = nullptr;
-      {
-        std::lock_guard<std::mutex> guard(catalog_mutex_);
-        auto it = indexes_.find(rec.store);
-        if (it != indexes_.end()) index = it->second.get();
-      }
+      // Logical undo: the key may have moved since, so the inverse runs
+      // through the tree and the CLR names the leaf it landed on.
+      btree::BTree* index = index_of(TableInfo{.index_store = rec.store});
       if (index == nullptr) return Status::Internal("undo: unknown index");
-      btree::BTreeEntry e;
-      std::memcpy(&e, rec.before.data(), sizeof(e));
-      PageNum leaf;
-      SHOREMT_ASSIGN_OR_RETURN(handle,
-                               index->InsertUnlogged(e.key, e.value, &leaf));
-      clr.page = leaf;
-      clr.page_type = static_cast<uint8_t>(LogRecordType::kBtreeInsert);
-      clr.after = rec.before;
+      bool inserted = rec.type == LogRecordType::kBtreeInsert;
+      const std::vector<uint8_t>& entry = inserted ? rec.after : rec.before;
+      SHOREMT_RETURN_NOT_OK(ReadEntry(entry, &e));
+      if (inserted) {
+        uint64_t removed;
+        SHOREMT_ASSIGN_OR_RETURN(
+            handle, index->RemoveUnlogged(e.key, &removed, &clr.page));
+        clr.page_type = static_cast<uint8_t>(LogRecordType::kBtreeDelete);
+        clr.before = entry;
+      } else {
+        SHOREMT_ASSIGN_OR_RETURN(
+            handle, index->InsertUnlogged(e.key, e.value, &clr.page));
+        clr.page_type = static_cast<uint8_t>(LogRecordType::kBtreeInsert);
+        clr.after = entry;
+      }
       break;
     }
     default:
@@ -682,116 +743,28 @@ Status StorageManager::UndoRecord(txn::Transaction* txn, TxnId txn_id,
 
 // ------------------------------------------------------------- recovery ----
 
-Status StorageManager::RedoRecord(const log::LogRecord& rec, Lsn end) {
-  return ApplyRedo(rec, end, /*force=*/false);
-}
-
 Status StorageManager::ApplyRedo(const log::LogRecord& rec, Lsn end,
                                  bool force) {
-  using log::LogRecordType;
-  switch (rec.type) {
-    case LogRecordType::kClr: {
-      // Re-apply the embedded inverse action.
-      log::LogRecord action;
-      action.type = static_cast<LogRecordType>(rec.page_type);
-      action.page = rec.page;
-      action.slot = rec.slot;
-      action.store = rec.store;
-      action.before = rec.before;
-      action.after = rec.after;
-      return ApplyRedo(action, end, force);
-    }
-    case LogRecordType::kPageFormat: {
-      SHOREMT_ASSIGN_OR_RETURN(PageHandle h, pool_->NewPage(rec.page));
-      // A format is the page's birth: a valid image whose LSN covers this
-      // record is already past it, force mode or not (re-Init would wipe
-      // later applies).
-      if (page::HeaderOf(h.data())->page_lsn >= end.value &&
-          page::PageLooksValid(h.data(), rec.page)) {
-        return Status::Ok();
-      }
-      auto type = static_cast<page::PageType>(rec.page_type);
-      if (type == page::PageType::kData) {
-        page::SlottedPage sp(h.data());
-        sp.Init(rec.page, rec.store, type);
-      } else {
-        btree::BTreeNode node(h.data());
-        node.Init(rec.page, rec.store,
-                  type == page::PageType::kBTreeLeaf ? 0 : 1);
-      }
-      h.MarkDirty(end, rec.lsn);
-      return Status::Ok();
-    }
-    case LogRecordType::kPageInsert:
-    case LogRecordType::kPageUpdate:
-    case LogRecordType::kPageDelete:
-    case LogRecordType::kBtreeInsert:
-    case LogRecordType::kBtreeDelete:
-    case LogRecordType::kBtreeSetContent: {
-      SHOREMT_ASSIGN_OR_RETURN(
-          PageHandle h, pool_->FixPage(rec.page, LatchMode::kExclusive));
-      uint64_t cur_lsn = page::HeaderOf(h.data())->page_lsn;
-      // Recovery replays in LSN order, so "page LSN covers end" means
-      // "already applied" — skip. Commit-gated replica replay applies in
-      // COMMIT order: a page's LSN can already be above an unapplied
-      // record's end, so force mode applies unconditionally (the
-      // dispatcher guarantees exactly-once per record) and the page LSN
-      // only ratchets upward.
-      if (!force && cur_lsn >= end.value) {
-        return Status::Ok();  // Change already on the page image.
-      }
-      // An unformatted or misdirected image here means the WAL invariants
-      // were violated upstream; surface it as corruption instead of
-      // letting a page-level apply write through garbage offsets.
-      if (page::HeaderOf(h.data())->magic != page::kPageMagic ||
-          page::HeaderOf(h.data())->page_num != rec.page) {
-        return Status::Corruption(
-            "redo hit an invalid image for page " + std::to_string(rec.page));
-      }
-      switch (rec.type) {
-        case LogRecordType::kPageInsert: {
-          page::SlottedPage sp(h.data());
-          SHOREMT_RETURN_NOT_OK(sp.InsertAt(rec.slot, rec.after));
-          break;
-        }
-        case LogRecordType::kPageUpdate: {
-          page::SlottedPage sp(h.data());
-          SHOREMT_RETURN_NOT_OK(sp.Update(rec.slot, rec.after));
-          break;
-        }
-        case LogRecordType::kPageDelete: {
-          page::SlottedPage sp(h.data());
-          SHOREMT_RETURN_NOT_OK(sp.Delete(rec.slot));
-          break;
-        }
-        case LogRecordType::kBtreeInsert: {
-          btree::BTreeNode node(h.data());
-          btree::BTreeEntry e;
-          std::memcpy(&e, rec.after.data(), sizeof(e));
-          node.InsertSorted(e.key, e.value);
-          break;
-        }
-        case LogRecordType::kBtreeDelete: {
-          btree::BTreeNode node(h.data());
-          btree::BTreeEntry e;
-          std::memcpy(&e, rec.before.data(), sizeof(e));
-          node.RemoveKey(e.key);
-          break;
-        }
-        case LogRecordType::kBtreeSetContent: {
-          btree::BTreeNode node(h.data());
-          node.RestoreContent(rec.after);
-          break;
-        }
-        default:
-          break;
-      }
-      h.MarkDirty(force ? Lsn{std::max(cur_lsn, end.value)} : end, rec.lsn);
-      return Status::Ok();
-    }
-    default:
-      return Status::Ok();  // Metadata handled during analysis.
-  }
+  log::LogRecordType action = PageAction(rec);
+  bool format = action == log::LogRecordType::kPageFormat;
+  if (!format && !UpdatesPage(action)) return Status::Ok();  // Metadata.
+  SHOREMT_ASSIGN_OR_RETURN(
+      PageHandle h, format ? pool_->NewPage(rec.page)
+                           : pool_->FixPage(rec.page, LatchMode::kExclusive));
+  uint64_t cur_lsn = page::HeaderOf(h.data())->page_lsn;
+  // Recovery replays in LSN order, so "page LSN covers end" means
+  // "already applied" — skip. Commit-gated replica replay applies in
+  // COMMIT order: a page's LSN can already be above an unapplied record's
+  // end, so force mode applies unconditionally (the dispatcher guarantees
+  // exactly-once per record) and the page LSN only ratchets upward. A
+  // format is the page's birth: a valid image whose LSN covers it is
+  // already past it, force mode or not (re-Init would wipe later applies).
+  bool guarded = format ? page::PageLooksValid(h.data(), rec.page) : !force;
+  if (guarded && cur_lsn >= end.value) return Status::Ok();
+  SHOREMT_RETURN_NOT_OK(ApplyToImage(rec, h.data()));
+  h.MarkDirty(force && !format ? Lsn{std::max(cur_lsn, end.value)} : end,
+              rec.lsn);
+  return Status::Ok();
 }
 
 Status StorageManager::RepairPage(PageNum page, uint8_t* img) {
@@ -855,14 +828,17 @@ Status StorageManager::RepairPage(PageNum page, uint8_t* img) {
     }
     Lsn end{pos + 1 + len};
     rec.lsn = Lsn{pos + 1};
-    if (rec.page == page) {
-      SHOREMT_RETURN_NOT_OK(RepairRedoToImage(rec, end, img));
+    log::LogRecordType action = PageAction(rec);
+    if (rec.page == page &&
+        (action == log::LogRecordType::kPageFormat || UpdatesPage(action))) {
+      SHOREMT_RETURN_NOT_OK(ApplyToImage(rec, img));
+      page::HeaderOf(img)->page_lsn = end.value;
       touched = true;
     }
     pos += len;
   }
   if (!touched) {
-    return Status::Corruption("no log record references page " +
+    return Status::Corruption("no log record changes page " +
                               std::to_string(page) + " — unrepairable");
   }
   if (!page::PageLooksValid(img, page)) {
@@ -878,90 +854,6 @@ Status StorageManager::RepairPage(PageNum page, uint8_t* img) {
                          options_.buffer.io.retry_max_backoff_ns};
   return io::RetryTransient(volume_, policy,
                             [&] { return volume_->WritePage(page, img); });
-}
-
-Status StorageManager::RepairRedoToImage(const log::LogRecord& rec, Lsn end,
-                                         uint8_t* img) {
-  using log::LogRecordType;
-  switch (rec.type) {
-    case LogRecordType::kClr: {
-      log::LogRecord action;
-      action.type = static_cast<LogRecordType>(rec.page_type);
-      action.page = rec.page;
-      action.slot = rec.slot;
-      action.store = rec.store;
-      action.before = rec.before;
-      action.after = rec.after;
-      return RepairRedoToImage(action, end, img);
-    }
-    case LogRecordType::kPageFormat: {
-      auto type = static_cast<page::PageType>(rec.page_type);
-      if (type == page::PageType::kData) {
-        page::SlottedPage sp(img);
-        sp.Init(rec.page, rec.store, type);
-      } else {
-        btree::BTreeNode node(img);
-        node.Init(rec.page, rec.store,
-                  type == page::PageType::kBTreeLeaf ? 0 : 1);
-      }
-      page::HeaderOf(img)->page_lsn = end.value;
-      return Status::Ok();
-    }
-    case LogRecordType::kPageInsert:
-    case LogRecordType::kPageUpdate:
-    case LogRecordType::kPageDelete:
-    case LogRecordType::kBtreeInsert:
-    case LogRecordType::kBtreeDelete:
-    case LogRecordType::kBtreeSetContent: {
-      if (page::HeaderOf(img)->magic != page::kPageMagic) {
-        return Status::Corruption(
-            "repair replay met an update before the format of page " +
-            std::to_string(rec.page));
-      }
-      switch (rec.type) {
-        case LogRecordType::kPageInsert: {
-          page::SlottedPage sp(img);
-          SHOREMT_RETURN_NOT_OK(sp.InsertAt(rec.slot, rec.after));
-          break;
-        }
-        case LogRecordType::kPageUpdate: {
-          page::SlottedPage sp(img);
-          SHOREMT_RETURN_NOT_OK(sp.Update(rec.slot, rec.after));
-          break;
-        }
-        case LogRecordType::kPageDelete: {
-          page::SlottedPage sp(img);
-          SHOREMT_RETURN_NOT_OK(sp.Delete(rec.slot));
-          break;
-        }
-        case LogRecordType::kBtreeInsert: {
-          btree::BTreeNode node(img);
-          btree::BTreeEntry e;
-          std::memcpy(&e, rec.after.data(), sizeof(e));
-          node.InsertSorted(e.key, e.value);
-          break;
-        }
-        case LogRecordType::kBtreeDelete: {
-          btree::BTreeNode node(img);
-          btree::BTreeEntry e;
-          std::memcpy(&e, rec.before.data(), sizeof(e));
-          node.RemoveKey(e.key);
-          break;
-        }
-        case LogRecordType::kBtreeSetContent: {
-          btree::BTreeNode node(img);
-          node.RestoreContent(rec.after);
-          break;
-        }
-        default:
-          break;
-      }
-      page::HeaderOf(img)->page_lsn = end.value;
-      return Status::Ok();
-    }
-    default:
-      return Status::Ok();  // Metadata records carry no page bytes.
-  }
 }
 
 void StorageManager::RaiseNextStore(StoreId store) {
@@ -1154,10 +1046,8 @@ Status StorageManager::Recover() {
     if (window > 0) {
       prefetch.clear();
       for (const auto& [rec, end] : pending) {
-        // kPageFormat allocates via NewPage — no read to warm. A CLR's
-        // embedded action targets rec.page like any page record.
-        if (rec.type == log::LogRecordType::kPageFormat) continue;
-        if (rec.page == kInvalidPageNum) continue;
+        // Only updates read their page; a format allocates via NewPage.
+        if (!UpdatesPage(PageAction(rec))) continue;
         if (std::find(prefetch.begin(), prefetch.end(), rec.page) ==
             prefetch.end()) {
           prefetch.push_back(rec.page);
@@ -1166,7 +1056,7 @@ Status StorageManager::Recover() {
       pool_->PrefetchPages(prefetch);
     }
     for (const auto& [rec, end] : pending) {
-      SHOREMT_RETURN_NOT_OK(RedoRecord(rec, end));
+      SHOREMT_RETURN_NOT_OK(ApplyRedo(rec, end, /*force=*/false));
     }
     pending.clear();
     return Status::Ok();

@@ -175,12 +175,14 @@ class StorageManager {
 
   // --- replicated replay (src/repl) ----------------------------------------
 
-  /// Applies one redo-able record to the local page state. `force` = false
+  /// Applies one redo-able record to the local page state, through the
+  /// page applier media repair and heap undo share. `force` = false
   /// is recovery semantics (skip when the page LSN already covers `end`);
   /// `force` = true is the replica's commit-gated deferred replay, which
   /// applies records out of per-page LSN order (commit order), so the
   /// idempotence guard is skipped and the page LSN only ever ratchets up
-  /// to max(current, end). Metadata records are no-ops here — feed them to
+  /// to max(current, end). Corruption for an invalid image or a malformed
+  /// B-tree payload. Metadata records are no-ops here — feed them to
   /// ApplyMetadata.
   Status ApplyRedo(const log::LogRecord& rec, Lsn end, bool force);
   /// Applies a metadata record (kCheckpoint body snapshots, kCreateStore,
@@ -245,8 +247,6 @@ class StorageManager {
   /// instead of adopting checkpoint redo LSNs (restore over a fresh
   /// volume).
   Status AnalyzeLog(AnalysisState* out, bool honor_checkpoint_redo);
-  /// Applies one record during redo (idempotent via page LSN).
-  Status RedoRecord(const log::LogRecord& rec, Lsn end);
   /// Rolls back every loser (newest first), appending a durable kAbort
   /// per transaction. `structure_only` applies only B-tree undo to pages
   /// (promotion; heap records were never applied on a replica) but still
@@ -266,15 +266,12 @@ class StorageManager {
   /// rebuilds `page`'s image by replaying the full log history — archived
   /// segments (options_.log.archive_dir) first, then the live log — into
   /// a zeroed image, stamps its checksum, and durably rewrites the healed
-  /// page on the volume. Fails with Corruption when the history is
-  /// incomplete (prefix recycled unarchived, damaged archive segment, or
-  /// no record ever referenced the page).
+  /// page on the volume. Records are applied straight onto `img`, never
+  /// through the pool (this runs inside the pool's miss path). Fails with
+  /// Corruption when the history is incomplete (prefix recycled
+  /// unarchived, damaged archive segment, or no record ever changed the
+  /// page).
   Status RepairPage(PageNum page, uint8_t* img);
-  /// Applies one redo-able record directly to a raw page image (never
-  /// through the pool — RepairPage runs inside the pool's miss path, so a
-  /// FixPage here would self-deadlock). Mirrors ApplyRedo's page-level
-  /// appliers with the page LSN as the idempotence ratchet.
-  Status RepairRedoToImage(const log::LogRecord& rec, Lsn end, uint8_t* img);
 
   /// Registers a table in the in-memory catalog (create or recovery).
   void RegisterTable(const TableInfo& info);

@@ -85,6 +85,47 @@ TEST(DeadlockDetectorTest, ThreeTxnCycleDetected) {
   EXPECT_EQ(mgr.LockedObjectCount(), 0u);
 }
 
+TEST(DeadlockDetectorTest, CycleThroughHandedOffLockDetected) {
+  // T1 holds a, T2 holds b. T3 waits for a, then T2 queues behind T3.
+  // T1's release hands a to T3, which then requests b: T3 → T2 → T3.
+  // T2's edges were registered while T1 still held a, so only its edge to
+  // the request queued ahead of it (T3's) reveals the cycle.
+  LockManager mgr(WfgOptions());
+  LockId a = LockId::Store(1);
+  LockId b = LockId::Store(2);
+  TxnLockList h1 = mgr.Attach(1);
+  TxnLockList h2 = mgr.Attach(2);
+  TxnLockList h3 = mgr.Attach(3);
+  ASSERT_TRUE(h1.Lock(a, kX).ok());
+  ASSERT_TRUE(h2.Lock(b, kX).ok());
+  // A waiter bumps `waits` under the shard mutex before it parks, and
+  // the release below takes that mutex, so the queue order is fixed.
+  auto await_waiters = [&](uint64_t n) {
+    while (mgr.stats().waits.load() < n) std::this_thread::yield();
+  };
+
+  Status t3_st;
+  uint64_t t3_ms = 0;
+  std::thread t3([&] {
+    EXPECT_TRUE(h3.Lock(a, kX).ok());
+    uint64_t t0 = NowNanos();
+    t3_st = h3.Lock(b, kX);
+    t3_ms = (NowNanos() - t0) / 1'000'000;
+    h3.ReleaseAll();  // The victim unwinds; T2 then gets a.
+  });
+  await_waiters(1);
+  std::thread t2([&] { EXPECT_TRUE(h2.Lock(a, kX).ok()); });
+  await_waiters(2);
+  h1.ReleaseAll();
+  t3.join();
+  EXPECT_TRUE(t3_st.IsDeadlock()) << t3_st.ToString();
+  EXPECT_LT(t3_ms, 500u) << "cycle must not wait out the timeout";
+  EXPECT_GE(mgr.stats().cycles_detected.load(), 1u);
+  t2.join();
+  h2.ReleaseAll();
+  EXPECT_EQ(mgr.LockedObjectCount(), 0u);
+}
+
 /// Finds `n` store ids mapping to pairwise-distinct shards.
 std::vector<StoreId> DistinctShardStores(const LockManager& mgr, size_t n) {
   std::vector<StoreId> stores;

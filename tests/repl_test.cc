@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "io/volume.h"
+#include "log/log_archive.h"
 #include "log/log_manager.h"
 #include "log/log_record.h"
 #include "log/log_storage.h"
@@ -115,7 +116,7 @@ TEST(ArchiveTest, RecycleArchivesSegmentsAndManifestRoundTrips) {
   EXPECT_EQ(storage.Recycle(Lsn{385}), 6u);
   EXPECT_EQ(storage.segments_archived(), 6u);
 
-  auto archive = repl::LogArchive::Open(dir.path());
+  auto archive = log::LogArchive::Open(dir.path());
   ASSERT_TRUE(archive.ok()) << archive.status().ToString();
   ASSERT_EQ(archive->segments().size(), 6u);
   EXPECT_EQ(archive->base_offset(), 0u);
@@ -468,6 +469,47 @@ TEST(ReplTest, ParallelStrictRedoByteIdenticalToSequentialRedo) {
     ASSERT_EQ(std::memcmp(a.data(), b.data(), kPageSize), 0)
         << "page " << p << " diverged";
   }
+}
+
+TEST(ReplayTest, MalformedBTreePayloadIsCorruption) {
+  // A B-tree record whose payload length is wrong still passes the log's
+  // CRC (the CRC covers whatever was written). Replay must reject it
+  // instead of copying a BTreeEntry out of a 3-byte vector or a content
+  // blob shorter than its two leaf-chain links.
+  io::MemVolume volume;
+  LogStorage wal(0, 1 << 20);
+  auto db = std::move(
+      *sm::StorageManager::Open(EngineOptions(1 << 20), &volume, &wal));
+  auto session = db->OpenSession();
+  ASSERT_TRUE(session->Begin().ok());
+  auto table = session->CreateTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(session->Commit().ok());
+
+  LogRecord insert;
+  insert.type = LogRecordType::kBtreeInsert;
+  insert.after = {1, 2, 3};
+  LogRecord content;
+  content.type = LogRecordType::kBtreeSetContent;
+  content.after = std::vector<uint8_t>(2 * sizeof(PageNum) - 1, 0);
+  for (LogRecord bad : {insert, content}) {
+    bad.page = table->index_root;
+    bad.store = table->index_store;
+    std::vector<uint8_t> bytes;
+    log::SerializeLogRecord(bad, &bytes);
+    LogRecord rec;
+    size_t consumed = 0;
+    ASSERT_TRUE(log::DeserializeLogRecord(bytes, &rec, &consumed).ok());
+    Lsn end{db->log()->next_lsn().value + consumed};
+    for (bool force : {false, true}) {
+      Status st = db->ApplyRedo(rec, end, force);
+      EXPECT_EQ(st.code(), StatusCode::kCorruption)
+          << "type " << static_cast<int>(rec.type) << " force " << force
+          << ": " << st.ToString();
+    }
+  }
+  session.reset();
+  ASSERT_TRUE(db->Shutdown().ok());
 }
 
 // ------------------------------------------------------- torn shipment ----

@@ -5,9 +5,11 @@
 #include <thread>
 #include <vector>
 
+#include "btree/btree_node.h"
 #include "io/volume.h"
 #include "log/log_storage.h"
 #include "sm/options.h"
+#include "sm/session.h"
 #include "sm/storage_manager.h"
 
 namespace shoremt::sm {
@@ -219,6 +221,38 @@ TEST(StorageManagerTest, CrashAfterCommitPreservesEverything) {
     EXPECT_EQ(AsString(*read), "val" + std::to_string(k));
   }
   ASSERT_TRUE((*sm)->Commit(check).ok());
+}
+
+TEST(StorageManagerTest, RecoveredSplitRootIsInternal) {
+  // A root split re-formats the root one level up in place and logs only
+  // its new content; redo must restore the page type along with it.
+  Durable d;
+  StorageOptions options = StorageOptions::ForStage(Stage::kFinal);
+  options.buffer.enable_cleaner = false;  // Crash before any write-back.
+  {
+    auto sm = d.Open(options);
+    ASSERT_TRUE(sm.ok());
+    auto session = (*sm)->OpenSession();
+    ASSERT_TRUE(session->Begin().ok());
+    auto table = session->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    for (uint64_t k = 0; k < 1000; ++k) {
+      ASSERT_TRUE(session->Insert(*table, k, Row("v")).ok());
+    }
+    ASSERT_TRUE(session->Commit().ok());
+    session.reset();
+    (*sm)->SimulateCrash();
+  }
+  auto sm = d.Open(options);
+  ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+  auto table = (*sm)->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  auto root =
+      (*sm)->pool()->FixPage(table->index_root, sync::LatchMode::kShared);
+  ASSERT_TRUE(root.ok());
+  EXPECT_GT(btree::BTreeNode(root->data()).level(), 0) << "root never split";
+  EXPECT_EQ(page::HeaderOf(root->data())->type,
+            page::PageType::kBTreeInternal);
 }
 
 TEST(StorageManagerTest, RecoveryIsIdempotentAcrossDoubleCrash) {
