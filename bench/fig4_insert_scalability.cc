@@ -12,6 +12,7 @@
 #include "bench/bench_util.h"
 #include "io/volume.h"
 #include "log/log_storage.h"
+#include "obs/metrics_registry.h"
 #include "sm/session.h"
 #include "sm/storage_manager.h"
 #include "workload/engine_profiles.h"
@@ -24,8 +25,8 @@ namespace {
 
 /// Companion panel: the same microbenchmark against the real engine on
 /// this machine, driven entirely through sm::Session (one per client,
-/// batched Apply per commit). Harvested session statistics replace global
-/// counters — the per-op path is counter-free. Each client count runs
+/// batched Apply per commit). Per-worker registry counters replace global
+/// counters — the per-op path touches no shared line. Each client count runs
 /// twice: blocking Apply (sync commit) vs ApplyAsync (group-commit
 /// pipeline, WaitAll at drain); flushes/commit shows the batching.
 void RunRealEnginePanel() {
@@ -53,14 +54,13 @@ void RunRealEnginePanel() {
       if (!state.ok()) return;
       // Baseline after setup: the flush count and the commit count below
       // then cover the same window (the whole run, warmup included) — the
-      // setup commits themselves are excluded via `setup_commits`.
+      // setup commits themselves are excluded via the `base` snapshot.
       uint64_t flushes_before = wal.flush_calls();
-      uint64_t setup_commits = 0;
-      for (auto& s : state->sessions) setup_commits += s->stats().commits;
+      obs::MetricsSnapshot base = db->metrics()->Snapshot();
       auto r = RunInsertBench(cfg, &*state);
-      for (auto& s : state->sessions) s->Harvest();
-      sm::SessionStats stats = db->harvested_session_stats();
-      uint64_t commits = stats.commits - setup_commits;
+      obs::MetricsSnapshot stats = db->metrics()->Snapshot();
+      uint64_t commits = stats[obs::Metric::kTxnCommits] -
+                         base[obs::Metric::kTxnCommits];
       double flushes_per_commit =
           commits == 0
               ? 0.0
@@ -69,7 +69,7 @@ void RunRealEnginePanel() {
       std::printf("%-6s %-8d  %14.0f  %12.2f  %10.2f  %13.3f\n",
                   async_commit ? "async" : "sync", c,
                   r.tps * cfg.records_per_commit, r.tps_per_thread,
-                  stats.log_bytes / 1e6, flushes_per_commit);
+                  stats[obs::Metric::kLogBytes] / 1e6, flushes_per_commit);
       if (async_commit) {
         // Consolidation-array counters (final stage = kCArray buffer):
         // how the contended inserts consolidated and how often the

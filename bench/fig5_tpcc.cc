@@ -13,6 +13,7 @@
 #include "bench/bench_util.h"
 #include "io/volume.h"
 #include "log/log_storage.h"
+#include "obs/metrics_registry.h"
 #include "obs/profiling_thread.h"
 #include "sm/session.h"
 #include "sm/storage_manager.h"
@@ -27,12 +28,12 @@ namespace {
 
 /// Companion panel: real-engine TPC-C on this machine through the session
 /// API — one session per terminal, Payment and New Order straight from
-/// workload/tpcc.h, per-session stats harvested at the end. Run twice per
-/// terminal count: blocking commits vs CommitAsync (early lock release,
-/// durability acknowledged through WaitAll at drain). The flushes/txn and
-/// txns/batch columns make the group-commit batching visible: async
-/// commit must issue measurably fewer device flushes than transactions
-/// committed.
+/// workload/tpcc.h, counters read from the live metrics registry. Run
+/// twice per terminal count: blocking commits vs CommitAsync (early lock
+/// release, durability acknowledged through WaitAll at drain). The
+/// flushes/txn and txns/batch columns make the group-commit batching
+/// visible: async commit must issue measurably fewer device flushes than
+/// transactions committed.
 void RunRealEnginePanel() {
   std::printf("--- real engine (this machine), sync vs async commit ---\n");
   std::vector<int> terminals = bench::FullMode()
@@ -69,7 +70,7 @@ void RunRealEnginePanel() {
       auto loaded = LoadTpcc(loader.get(), cfg);
       if (!loaded.ok()) return;
       TpccDatabase tpcc = *loaded;
-      loader.reset();  // Harvest the loader so the baseline excludes it.
+      loader.reset();  // Loading is done; only the terminals run below.
 
       std::vector<std::unique_ptr<sm::Session>> sessions;
       for (int i = 0; i < t; ++i) sessions.push_back(db->OpenSession());
@@ -90,7 +91,7 @@ void RunRealEnginePanel() {
       // Counter baselines taken after load, before the drivers: numerator
       // and denominator below both cover the terminals' full activity
       // (warmup included), so flushes/txn windows match.
-      sm::SessionStats base = db->harvested_session_stats();
+      obs::MetricsSnapshot base = db->metrics()->Snapshot();
       const log::LogStats& ls = db->log()->stats();
       uint64_t flushes_before = wal.flush_calls();
       uint64_t batches_before = ls.group_batches.load();
@@ -107,9 +108,9 @@ void RunRealEnginePanel() {
                            1 + worker % cfg.warehouses, mode);
       }, drain);
       if (profiler) profiler->Stop();
-      for (auto& s : sessions) s->Harvest();
-      sm::SessionStats stats = db->harvested_session_stats();
-      uint64_t commits = stats.commits - base.commits;
+      obs::MetricsSnapshot stats = db->metrics()->Snapshot();
+      auto delta = [&](obs::Metric m) { return stats[m] - base[m]; };
+      uint64_t commits = delta(obs::Metric::kTxnCommits);
       double flushes_per_txn =
           commits == 0
               ? 0.0
@@ -126,8 +127,8 @@ void RunRealEnginePanel() {
           "%-6s %-9d  %11.0f  %11.0f  %8llu  %10llu  %11llu  %11.3f  %10.2f\n",
           mode == CommitMode::kSync ? "sync" : "async", t, pay.tps,
           norder.tps, (unsigned long long)(pay.aborts + norder.aborts),
-          (unsigned long long)(stats.lock_waits - base.lock_waits),
-          (unsigned long long)(stats.lock_cache_hits - base.lock_cache_hits),
+          (unsigned long long)delta(obs::Metric::kLockWaits),
+          (unsigned long long)delta(obs::Metric::kLockCacheHits),
           flushes_per_txn, txns_per_batch);
       bench::PrintIoSpineStats(volume.stats(), db->pool()->stats(),
                                "       ");

@@ -85,7 +85,6 @@ bool RunCell(YcsbWorkload w, double theta, int threads, uint64_t window_ms,
                             0x9e3779b97f4a7c15ULL)));
   }
 
-  sm::SessionStats base = db->harvested_session_stats();
   obs::MetricsSnapshot m0 = db->metrics()->Snapshot();
 
   // The live feed: per-interval counter deltas + tick latency quantiles,
@@ -106,8 +105,6 @@ bool RunCell(YcsbWorkload w, double theta, int threads, uint64_t window_ms,
       drain);
 
   profiler.Stop();
-  for (auto& s : sessions) s->Harvest();
-  sm::SessionStats stats = db->harvested_session_stats();
   obs::MetricsSnapshot m1 = db->metrics()->Snapshot();
   auto delta = [&](obs::Metric m) {
     return (unsigned long long)(m1[m] - m0[m]);
@@ -126,8 +123,10 @@ bool RunCell(YcsbWorkload w, double theta, int threads, uint64_t window_ms,
       (unsigned long long)res.latency.P99(),
       (unsigned long long)res.latency.P999(),
       (unsigned long long)res.aborts,
-      (unsigned long long)(stats.lock_waits - base.lock_waits),
-      (unsigned long long)(stats.ops() - base.ops()),
+      delta(obs::Metric::kLockWaits),
+      delta(obs::Metric::kInserts) + delta(obs::Metric::kReads) +
+          delta(obs::Metric::kUpdates) + delta(obs::Metric::kDeletes) +
+          delta(obs::Metric::kScanRows),
       delta(obs::Metric::kBtreeFinds),
       delta(obs::Metric::kBtreeOptimisticDescents),
       delta(obs::Metric::kBtreeRestarts),

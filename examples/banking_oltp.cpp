@@ -5,7 +5,7 @@
 /// victims retry. At the end the total balance must be exactly what we
 /// started with — demonstrating isolation + atomicity under real
 /// concurrency, plus a crash-recovery epilogue showing durability. The
-/// harvested session statistics show where the contention went.
+/// engine's live metrics show where the contention went.
 
 #include <atomic>
 #include <cstdio>
@@ -15,6 +15,7 @@
 
 #include "io/volume.h"
 #include "log/log_storage.h"
+#include "obs/metrics_registry.h"
 #include "sm/options.h"
 #include "sm/session.h"
 #include "sm/storage_manager.h"
@@ -78,6 +79,7 @@ int main() {
     std::printf("opened %d accounts with %lld each\n", kAccounts,
                 static_cast<long long>(kInitialBalance));
 
+    obs::MetricsSnapshot before = db->metrics()->Snapshot();
     std::atomic<int> commits{0};
     std::atomic<int> retries{0};
     std::vector<std::thread> tellers;
@@ -108,18 +110,18 @@ int main() {
             retries.fetch_add(1);
           }
         }
-        // Session destructor harvests, but being explicit reads better.
-        session->Harvest();
       });
     }
     for (auto& t : tellers) t.join();
     std::printf("transfers committed: %d (deadlock retries: %d)\n",
                 commits.load(), retries.load());
-    sm::SessionStats stats = db->harvested_session_stats();
+    obs::MetricsSnapshot after = db->metrics()->Snapshot();
+    auto delta = [&](obs::Metric m) {
+      return static_cast<unsigned long long>(after[m] - before[m]);
+    };
     std::printf("teller sessions: %llu ops, %llu lock waits, %llu WAL bytes\n",
-                static_cast<unsigned long long>(stats.ops()),
-                static_cast<unsigned long long>(stats.lock_waits),
-                static_cast<unsigned long long>(stats.log_bytes));
+                delta(obs::Metric::kReads) + delta(obs::Metric::kUpdates),
+                delta(obs::Metric::kLockWaits), delta(obs::Metric::kLogBytes));
 
     // Audit: money is conserved.
     auto auditor = db->OpenSession();

@@ -13,6 +13,7 @@
 
 #include "io/volume.h"
 #include "log/log_storage.h"
+#include "obs/metrics_registry.h"
 #include "sm/options.h"
 #include "sm/session.h"
 #include "sm/storage_manager.h"
@@ -50,6 +51,7 @@ int main() {
   // (the paper benchmarks them separately; an app mixes them).
   constexpr int kTerminals = 4;
   constexpr int kTxnsPerTerminal = 100;
+  obs::MetricsSnapshot before = db->metrics()->Snapshot();
   std::atomic<int> payments{0}, new_orders{0}, aborts{0};
   std::vector<std::thread> terminals;
   for (int t = 0; t < kTerminals; ++t) {
@@ -76,11 +78,15 @@ int main() {
   for (auto& t : terminals) t.join();
   std::printf("committed: %d payments, %d new orders (%d deadlock aborts)\n",
               payments.load(), new_orders.load(), aborts.load());
-  sm::SessionStats stats = db->harvested_session_stats();
+  obs::MetricsSnapshot after = db->metrics()->Snapshot();
+  auto delta = [&](obs::Metric m) {
+    return static_cast<unsigned long long>(after[m] - before[m]);
+  };
   std::printf("terminals: %llu row ops, %llu lock waits, %llu log bytes\n",
-              static_cast<unsigned long long>(stats.ops()),
-              static_cast<unsigned long long>(stats.lock_waits),
-              static_cast<unsigned long long>(stats.log_bytes));
+              delta(obs::Metric::kInserts) + delta(obs::Metric::kReads) +
+                  delta(obs::Metric::kUpdates) + delta(obs::Metric::kDeletes) +
+                  delta(obs::Metric::kScanRows),
+              delta(obs::Metric::kLockWaits), delta(obs::Metric::kLogBytes));
 
   // Report: orders per district and total warehouse revenue.
   auto report = db->OpenSession();

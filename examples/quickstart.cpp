@@ -2,13 +2,14 @@
 ///
 /// Demonstrates the core public API: StorageManager::Open, OpenSession,
 /// Begin/Commit/Abort, Insert/Read/Update/Delete, cursor scans, batched
-/// Apply, per-session statistics, and what rollback means.
+/// Apply, live engine metrics, and what rollback means.
 
 #include <cstdio>
 #include <string>
 
 #include "io/volume.h"
 #include "log/log_storage.h"
+#include "obs/metrics_registry.h"
 #include "sm/options.h"
 #include "sm/session.h"
 #include "sm/storage_manager.h"
@@ -96,16 +97,18 @@ int main() {
   if (!session->Apply(*table, batch).ok()) return 1;
   std::printf("applied a 3-op batch (insert 6, insert 7, delete 1)\n");
 
-  // Checkpoint + statistics + clean shutdown.
+  // Checkpoint + live metrics + clean shutdown.
   (void)db->Checkpoint();
-  session->Harvest();
-  sm::SessionStats stats = db->harvested_session_stats();
+  obs::MetricsSnapshot m = db->metrics()->Snapshot();
+  uint64_t ops = m[obs::Metric::kInserts] + m[obs::Metric::kReads] +
+                 m[obs::Metric::kUpdates] + m[obs::Metric::kDeletes] +
+                 m[obs::Metric::kScanRows];
   std::printf("session did %llu ops (%llu inserts) over %llu commits, "
               "%llu WAL bytes\n",
-              static_cast<unsigned long long>(stats.ops()),
-              static_cast<unsigned long long>(stats.inserts),
-              static_cast<unsigned long long>(stats.commits),
-              static_cast<unsigned long long>(stats.log_bytes));
+              static_cast<unsigned long long>(ops),
+              static_cast<unsigned long long>(m[obs::Metric::kInserts]),
+              static_cast<unsigned long long>(m[obs::Metric::kTxnCommits]),
+              static_cast<unsigned long long>(m[obs::Metric::kLogBytes]));
   std::printf("done; log wrote %llu bytes\n",
               static_cast<unsigned long long>(wal.size()));
   return 0;

@@ -13,11 +13,12 @@ namespace shoremt::obs {
 
 /// The engine-wide live counter set: every row of the profiling feed and
 /// every column of the registry snapshot is one of these. Worker-written
-/// metrics (transaction lifecycle, DML, lock waits, log bytes) live in
-/// per-worker WorkerCounters blocks; engine-global metrics (buffer pool,
-/// log lifecycle, lock table) are pulled from the existing stats structs
-/// through registered sources at aggregation time — the subsystems keep
-/// their structs, the registry is the union view.
+/// metrics (transaction lifecycle, DML, lock waits and cache hits, log
+/// bytes, durability waits) live in per-worker WorkerCounters blocks;
+/// engine-global metrics (buffer pool, log lifecycle, lock table, space)
+/// are pulled from the existing stats structs through registered sources
+/// at aggregation time — the subsystems keep their structs, the registry
+/// is the union view.
 enum class Metric : uint32_t {
   kTxnBegins = 0,
   kTxnCommits,
@@ -28,6 +29,10 @@ enum class Metric : uint32_t {
   kDeletes,
   kScanRows,  ///< Rows returned through cursors (scan workloads).
   kRmws,      ///< Read-modify-write round trips (workload-level, YCSB F).
+  /// Lock requests that parked, booked from a session transaction's
+  /// TxnCounters when it commits or aborts. LockStats::waits counts every
+  /// wait in the lock table as it happens, including those of
+  /// transactions begun outside a session, so the two differ by design.
   kLockWaits,
   kLockAcquired,
   kLogBytes,
@@ -68,6 +73,18 @@ enum class Metric : uint32_t {
   kBtreeOptimisticDescents, ///< Descents completed without latching.
   kBtreeRestarts,           ///< Validation failures that restarted a descent.
   kBtreeLatchFallbacks,     ///< Descents that gave up and took latches.
+  // --- sessions: lock cache and durability waits (worker-side) -------------
+  /// Lock requests served from the transaction-private lock cache without
+  /// touching the shared lock table.
+  kLockCacheHits,
+  kCommitWaits,  ///< Durability waits that had to block.
+  /// Durability checks that found the group flush already past the commit
+  /// LSN: the per-transaction flush waits group commit eliminated.
+  kCommitWaitsAvoided,
+  // --- engine sources read from subsystem stats ----------------------------
+  kEvictions,       ///< Buffer frames evicted (BufferPoolStats::evictions).
+  kPagesAllocated,  ///< Pages handed out by the space manager.
+  kGroupBatchTxns,  ///< Commit requests amortized into group flushes.
   kCount,  ///< Sentinel, not a metric: keep it last.
 };
 
@@ -125,6 +142,12 @@ constexpr std::string_view MetricName(Metric m) {
       return "btree_optimistic_descents";
     case Metric::kBtreeRestarts: return "btree_restarts";
     case Metric::kBtreeLatchFallbacks: return "btree_latch_fallbacks";
+    case Metric::kLockCacheHits: return "lock_cache_hits";
+    case Metric::kCommitWaits: return "commit_waits";
+    case Metric::kCommitWaitsAvoided: return "commit_waits_avoided";
+    case Metric::kEvictions: return "evictions";
+    case Metric::kPagesAllocated: return "pages_allocated";
+    case Metric::kGroupBatchTxns: return "group_batch_txns";
     case Metric::kCount: break;
   }
   return "?";

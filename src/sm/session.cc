@@ -27,9 +27,13 @@ Session::Session(StorageManager* sm, uint64_t seed) : sm_(sm), rng_(seed) {
 }
 
 Session::~Session() {
-  if (txn_ != nullptr) (void)Abort();
-  (void)WaitAll();  // Outstanding async commits acknowledge before close.
-  Harvest();
+  // After SimulateCrash nothing may reach the log: rolling the open
+  // transaction back would append its CLRs and abort record, turning a
+  // loser into an aborted transaction.
+  if (!sm_->crashed_.load(std::memory_order_acquire)) {
+    if (txn_ != nullptr) (void)Abort();
+    (void)WaitAll();  // Outstanding async commits acknowledge before close.
+  }
   if (obs::TlsWorkerCounters() == wc_) obs::TlsWorkerCounters() = nullptr;
   if (wc_ != nullptr) {
     // Folds this worker's live counters into the registry's retired
@@ -38,11 +42,6 @@ Session::~Session() {
     sm_->metrics()->UnregisterWorker(wc_);
     wc_ = nullptr;
   }
-}
-
-void Session::Harvest() {
-  sm_->HarvestSessionStats(stats_);
-  stats_ = SessionStats{};
 }
 
 Status Session::RequireTxn() const {
@@ -62,13 +61,12 @@ Status Session::Begin() {
   // worker, and the deep probe paths read this thread-local. Begin is
   // the choke point every transaction passes through on its own thread.
   obs::TlsWorkerCounters() = wc_;
-  ++stats_.begins;
   Bump(obs::Metric::kTxnBegins);
   txn_begin_ns_ = NowNanos();
   return Status::Ok();
 }
 
-Result<txn::CommitToken> Session::SubmitCommit() {
+Result<txn::CommitToken> Session::CommitAsync() {
   SHOREMT_RETURN_NOT_OK(RequireTxn());
   Result<txn::CommitToken> token = sm_->txns_->CommitAsync(txn_);
   if (!token.ok()) {
@@ -80,13 +78,8 @@ Result<txn::CommitToken> Session::SubmitCommit() {
   // The transaction is committed (and destroyed): from here on only the
   // durability acknowledgment is outstanding.
   txn_ = nullptr;
-  stats_.lock_waits += token->counters.lock_waits;
-  stats_.lock_cache_hits += token->counters.lock_cache_hits;
-  stats_.log_bytes += token->counters.log_bytes;
-  ++stats_.commits;
   Bump(obs::Metric::kTxnCommits);
-  Bump(obs::Metric::kLockWaits, token->counters.lock_waits);
-  Bump(obs::Metric::kLogBytes, token->counters.log_bytes);
+  BumpTxnCounters(token->counters);
   if (wc_ != nullptr) wc_->RecordLatency(NowNanos() - txn_begin_ns_);
   if (!token->durable && token->lsn > pending_ack_lsn_) {
     pending_ack_lsn_ = token->lsn;
@@ -95,7 +88,7 @@ Result<txn::CommitToken> Session::SubmitCommit() {
 }
 
 Status Session::Commit() {
-  SHOREMT_ASSIGN_OR_RETURN(txn::CommitToken token, SubmitCommit());
+  SHOREMT_ASSIGN_OR_RETURN(txn::CommitToken token, CommitAsync());
   // Blocking ack: ride the group-commit pipeline until the daemon's flush
   // passes the commit LSN. If the wait itself fails (log device error),
   // the transaction is already committed-but-unacknowledged — there is
@@ -103,21 +96,11 @@ Status Session::Commit() {
   return Wait(&token);
 }
 
-Result<txn::CommitToken> Session::CommitAsync() {
-  Result<txn::CommitToken> token = SubmitCommit();
-  if (token.ok()) ++stats_.async_commits;
-  return token;
-}
-
 Status Session::Wait(txn::CommitToken* token) {
   if (token == nullptr) return Status::InvalidArgument("null commit token");
   bool avoided = token->durable || token->lsn.IsNull() ||
                  sm_->log()->IsDurable(token->lsn);
-  if (avoided) {
-    ++stats_.commit_waits_avoided;
-  } else {
-    ++stats_.commit_waits;
-  }
+  Bump(avoided ? obs::Metric::kCommitWaitsAvoided : obs::Metric::kCommitWaits);
   Status st = sm_->txns_->Wait(token);
   // Durability is a log prefix: acknowledging the highest pending LSN
   // acknowledges everything this session had outstanding.
@@ -131,7 +114,7 @@ bool Session::PollAcks() {
     // Durability is a log prefix: the highest pending LSN being durable
     // acknowledges everything this session had outstanding.
     pending_ack_lsn_ = Lsn{};
-    ++stats_.commit_waits_avoided;
+    Bump(obs::Metric::kCommitWaitsAvoided);
     return true;
   }
   // A poisoned pipeline can never acknowledge: stop the poll loop (the
@@ -141,19 +124,15 @@ bool Session::PollAcks() {
 }
 
 void Session::OnDurable(Lsn lsn, std::function<void(Status)> fn) {
-  if (!fn) return;  // Nothing registers; nothing to count.
-  ++stats_.durability_callbacks;
+  if (!fn) return;
   sm_->log()->OnDurable(lsn, std::move(fn));
 }
 
 Status Session::WaitAll() {
   if (pending_ack_lsn_.IsNull()) return Status::Ok();
   Lsn target = pending_ack_lsn_;
-  if (sm_->log()->IsDurable(target)) {
-    ++stats_.commit_waits_avoided;
-  } else {
-    ++stats_.commit_waits;
-  }
+  Bump(sm_->log()->IsDurable(target) ? obs::Metric::kCommitWaitsAvoided
+                                     : obs::Metric::kCommitWaits);
   SHOREMT_RETURN_NOT_OK(sm_->log()->WaitDurable(target));
   pending_ack_lsn_ = Lsn{};
   return Status::Ok();
@@ -165,13 +144,8 @@ Status Session::Abort() {
   Status st = sm_->txns_->Abort(txn_, &counters);
   if (!st.ok()) return st;  // Still active; the caller may retry Abort.
   txn_ = nullptr;
-  stats_.lock_waits += counters.lock_waits;
-  stats_.lock_cache_hits += counters.lock_cache_hits;
-  stats_.log_bytes += counters.log_bytes;
-  ++stats_.aborts;
   Bump(obs::Metric::kTxnAborts);
-  Bump(obs::Metric::kLockWaits, counters.lock_waits);
-  Bump(obs::Metric::kLogBytes, counters.log_bytes);
+  BumpTxnCounters(counters);
   return st;
 }
 
@@ -196,10 +170,7 @@ Result<RecordId> Session::Insert(const TableInfo& table, uint64_t key,
                                  std::span<const uint8_t> payload) {
   SHOREMT_RETURN_NOT_OK(RequireTxn());
   Result<RecordId> rid = sm_->Insert(txn_, table, key, payload);
-  if (rid.ok()) {
-    ++stats_.inserts;
-    Bump(obs::Metric::kInserts);
-  }
+  if (rid.ok()) Bump(obs::Metric::kInserts);
   return rid;
 }
 
@@ -207,7 +178,6 @@ Result<std::span<const uint8_t>> Session::Read(const TableInfo& table,
                                                uint64_t key) {
   SHOREMT_RETURN_NOT_OK(RequireTxn());
   SHOREMT_RETURN_NOT_OK(sm_->ReadInto(txn_, table, key, &read_buf_));
-  ++stats_.reads;
   Bump(obs::Metric::kReads);
   return std::span<const uint8_t>(read_buf_);
 }
@@ -216,20 +186,14 @@ Status Session::Update(const TableInfo& table, uint64_t key,
                        std::span<const uint8_t> payload) {
   SHOREMT_RETURN_NOT_OK(RequireTxn());
   Status st = sm_->Update(txn_, table, key, payload);
-  if (st.ok()) {
-    ++stats_.updates;
-    Bump(obs::Metric::kUpdates);
-  }
+  if (st.ok()) Bump(obs::Metric::kUpdates);
   return st;
 }
 
 Status Session::Delete(const TableInfo& table, uint64_t key) {
   SHOREMT_RETURN_NOT_OK(RequireTxn());
   Status st = sm_->Delete(txn_, table, key);
-  if (st.ok()) {
-    ++stats_.deletes;
-    Bump(obs::Metric::kDeletes);
-  }
+  if (st.ok()) Bump(obs::Metric::kDeletes);
   return st;
 }
 
@@ -239,7 +203,6 @@ Cursor Session::OpenCursor(const TableInfo& table) {
 
 Status Session::ApplyOps(const TableInfo& table, std::span<const Op> ops,
                          bool own_txn) {
-  ++stats_.batches;
   for (const Op& op : ops) {
     Status st;
     switch (op.type) {
@@ -259,7 +222,6 @@ Status Session::ApplyOps(const TableInfo& table, std::span<const Op> ops,
       if (own_txn) (void)Abort();
       return st;
     }
-    ++stats_.batch_ops;
   }
   return Status::Ok();
 }
@@ -368,7 +330,6 @@ Status Cursor::SettleOnRow() {
     value_buf_.assign(rec->begin(), rec->end());
     key_ = it_.key();
     valid_ = true;
-    ++session_->stats_.cursor_rows;
     session_->Bump(obs::Metric::kScanRows);
     return Status::Ok();
   }

@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/metrics.h"
-#include "sm/session_stats.h"
 #include "sm/storage_manager.h"
 
 namespace shoremt::sm {
@@ -80,16 +79,20 @@ class Cursor {
 /// A worker thread's handle onto the storage manager (the tentpole of the
 /// Shore-MT redesign): each thread opens one session and runs all
 /// transaction lifecycle and DML through it. The session owns the state a
-/// worker needs — an RNG, a reusable read buffer, and a SessionStats block
-/// — so the per-operation path touches no shared counters at all;
-/// statistics reach the manager only at session close or via Harvest(),
-/// mirroring the paper's distributed statistics fix (§5).
+/// worker needs — an RNG, a reusable read buffer, and a registered
+/// obs::WorkerCounters block — so the per-operation path touches no shared
+/// counters at all: the block is single-writer and cache-line private, and
+/// MetricsRegistry::Snapshot reads it live (the paper's distributed
+/// statistics fix, §5).
 ///
 /// A session is NOT thread-safe and carries at most one open transaction.
 class Session {
  public:
-  /// Aborts any open transaction, waits for outstanding commit
-  /// acknowledgments (WaitAll), then harvests.
+  /// Aborts any open transaction and waits for outstanding commit
+  /// acknowledgments (WaitAll), then returns its counter block to the
+  /// registry. After StorageManager::SimulateCrash it skips the abort and
+  /// the wait: a crashed engine writes nothing more to its log, so an open
+  /// transaction stays a loser for the next Open to roll back.
   ~Session();
 
   Session(const Session&) = delete;
@@ -140,8 +143,8 @@ class Session {
   /// Aborts the open transaction, rolling back through the WAL chain.
   Status Abort();
   bool InTransaction() const { return txn_ != nullptr; }
-  /// The open transaction (nullptr outside one) — interop hook for code
-  /// still on the deprecated facade.
+  /// The open transaction (nullptr outside one). perfbench's tracer reads
+  /// its id to tag spans.
   txn::Transaction* txn() { return txn_; }
 
   // --- catalog ------------------------------------------------------------
@@ -190,11 +193,6 @@ class Session {
 
   /// The session's private RNG (seeded uniquely per session).
   Rng& rng() { return rng_; }
-  /// This session's counters since the last Harvest().
-  const SessionStats& stats() const { return stats_; }
-  /// Folds the local counters into the manager's aggregate and zeroes
-  /// them. Called automatically on destruction.
-  void Harvest();
   /// This worker's live metrics block in the manager's MetricsRegistry
   /// (the feed the ProfilingThread aggregates once a second). The session
   /// bumps the engine metrics itself; workloads bump workload-level
@@ -217,11 +215,12 @@ class Session {
   void Bump(obs::Metric m, uint64_t delta = 1) {
     if (wc_ != nullptr) wc_->Inc(m, delta);
   }
-
-  /// Shared tail of Commit/CommitAsync: submits the commit record, rolls
-  /// back on append failure, books the token into the session's pending
-  /// set and its statistics.
-  Result<txn::CommitToken> SubmitCommit();
+  /// Books a finished transaction's private counters (commit or abort).
+  void BumpTxnCounters(const txn::TxnCounters& c) {
+    Bump(obs::Metric::kLockWaits, c.lock_waits);
+    Bump(obs::Metric::kLockCacheHits, c.lock_cache_hits);
+    Bump(obs::Metric::kLogBytes, c.log_bytes);
+  }
 
   /// Shared body of Apply/ApplyAsync: runs `ops` under the open
   /// transaction, aborting it on failure when this session owns it.
@@ -232,7 +231,6 @@ class Session {
   txn::Transaction* txn_ = nullptr;
   Rng rng_;
   std::vector<uint8_t> read_buf_;
-  SessionStats stats_;
   /// Highest commit LSN this session has submitted but not yet seen
   /// acknowledged (WaitAll target); null when nothing is outstanding.
   Lsn pending_ack_lsn_;

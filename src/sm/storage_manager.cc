@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
@@ -178,8 +179,8 @@ StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
   // Each source reads its subsystem's existing atomic stats struct at
   // snapshot time — the subsystems keep their structs; the registry (and
   // the profiling feed over it) is the union. Worker-side metrics (txn
-  // lifecycle, DML, lock waits, log bytes) come from the sessions'
-  // WorkerCounters blocks instead.
+  // lifecycle, DML, lock waits, log bytes, durability waits) come from the
+  // sessions' WorkerCounters blocks instead.
   metrics_.AddSource([this](std::array<uint64_t, obs::kMetricCount>* t) {
     const buffer::BufferPoolStats& s = pool_->stats();
     (*t)[static_cast<size_t>(obs::Metric::kBufferHits)] +=
@@ -187,6 +188,12 @@ StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
         s.optimistic_hits.load(std::memory_order_relaxed);
     (*t)[static_cast<size_t>(obs::Metric::kBufferMisses)] +=
         s.misses.load(std::memory_order_relaxed);
+    (*t)[static_cast<size_t>(obs::Metric::kEvictions)] +=
+        s.evictions.load(std::memory_order_relaxed);
+  });
+  metrics_.AddSource([this](std::array<uint64_t, obs::kMetricCount>* t) {
+    (*t)[static_cast<size_t>(obs::Metric::kPagesAllocated)] +=
+        space_->stats().pages_allocated.load(std::memory_order_relaxed);
   });
   metrics_.AddSource([this](std::array<uint64_t, obs::kMetricCount>* t) {
     const log::LogStats& s = log_->stats();
@@ -194,6 +201,8 @@ StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
         s.records.load(std::memory_order_relaxed);
     (*t)[static_cast<size_t>(obs::Metric::kGroupBatches)] +=
         s.group_batches.load(std::memory_order_relaxed);
+    (*t)[static_cast<size_t>(obs::Metric::kGroupBatchTxns)] +=
+        s.group_batch_txns.load(std::memory_order_relaxed);
     (*t)[static_cast<size_t>(obs::Metric::kCleanerWritebacks)] +=
         s.cleaner_writebacks.load(std::memory_order_relaxed);
     (*t)[static_cast<size_t>(obs::Metric::kCheckpoints)] +=
@@ -258,7 +267,7 @@ StorageManager::~StorageManager() {
   // synchronizes under the pipeline's lock, so after this returns the
   // flush daemon can no longer poke the checkpoint cv or the cleaner.
   log_->SetPressureHook(nullptr);
-  if (!crashed_) (void)Shutdown();
+  if (!crashed_.load(std::memory_order_acquire)) (void)Shutdown();
 }
 
 void StorageManager::StartCheckpointDaemon() {
@@ -380,18 +389,15 @@ Result<TableInfo> StorageManager::CreateTableReserved(
   return info;
 }
 
-Result<TableInfo> StorageManager::OpenTable(const std::string& name) const {
-  std::lock_guard<std::mutex> guard(catalog_mutex_);
-  auto it = catalog_.find(name);
-  if (it == catalog_.end()) return Status::NotFound("no table " + name);
-  return it->second;
-}
-
 Result<TableInfo> StorageManager::OpenTable(txn::Transaction* txn,
                                             const std::string& name) {
-  SHOREMT_ASSIGN_OR_RETURN(
-      TableInfo info,
-      static_cast<const StorageManager*>(this)->OpenTable(name));
+  TableInfo info;
+  {
+    std::lock_guard<std::mutex> guard(catalog_mutex_);
+    auto it = catalog_.find(name);
+    if (it == catalog_.end()) return Status::NotFound("no table " + name);
+    info = it->second;
+  }
   // Shared store lock: if the creating transaction still holds its X
   // locks, we wait here until the DDL commits (or time out if it never
   // does) rather than touch a half-built table.
@@ -509,14 +515,6 @@ Status StorageManager::ReadInto(txn::Transaction* txn, const TableInfo& table,
   return Status::Ok();
 }
 
-Result<std::vector<uint8_t>> StorageManager::Read(txn::Transaction* txn,
-                                                  const TableInfo& table,
-                                                  uint64_t key) {
-  std::vector<uint8_t> row;
-  SHOREMT_RETURN_NOT_OK(ReadInto(txn, table, key, &row));
-  return row;
-}
-
 Status StorageManager::Update(txn::Transaction* txn, const TableInfo& table,
                               uint64_t key,
                               std::span<const uint8_t> payload) {
@@ -571,31 +569,6 @@ Status StorageManager::Delete(txn::Transaction* txn, const TableInfo& table,
     h.MarkDirty(a.end, a.lsn);
   }
   return index->Remove(txn, key);
-}
-
-Status StorageManager::Scan(
-    txn::Transaction* txn, const TableInfo& table, uint64_t lo, uint64_t hi,
-    const std::function<bool(uint64_t, std::span<const uint8_t>)>& fn) {
-  btree::BTree* index = index_of(table);
-  if (index == nullptr) return Status::NotFound("unknown table");
-  // Collect matches first: row locks must not be acquired while holding
-  // leaf latches (latch-lock deadlock).
-  std::vector<std::pair<uint64_t, RecordId>> matches;
-  SHOREMT_RETURN_NOT_OK(index->Scan(lo, hi, [&](uint64_t key, RecordId rid) {
-    matches.emplace_back(key, rid);
-    return true;
-  }));
-  for (const auto& [key, rid] : matches) {
-    SHOREMT_RETURN_NOT_OK(
-        txn->locks.LockRecord(table.heap_store, rid, lock::LockMode::kS));
-    SHOREMT_ASSIGN_OR_RETURN(PageHandle h,
-                             pool_->FixPage(rid.page, LatchMode::kShared));
-    page::SlottedPage sp(h.data());
-    auto rec = sp.Read(rid.slot);
-    if (!rec.ok()) continue;  // Deleted between index scan and read.
-    if (!fn(key, *rec)) return Status::Ok();
-  }
-  return Status::Ok();
 }
 
 Result<Lsn> StorageManager::Checkpoint() {

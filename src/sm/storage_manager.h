@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,7 +22,6 @@
 #include "log/log_manager.h"
 #include "obs/metrics_registry.h"
 #include "sm/options.h"
-#include "sm/session_stats.h"
 #include "space/space_manager.h"
 #include "sync/periodic_daemon.h"
 #include "txn/txn_manager.h"
@@ -55,12 +53,6 @@ struct TableInfo {
 ///   auto table = session->CreateTable("accounts");
 ///   session->Insert(*table, /*key=*/1, payload);
 ///   session->Commit();
-///
-/// The transaction-pointer facade below (Begin/Commit/Insert/... taking a
-/// txn::Transaction*) is DEPRECATED: it remains as a thin shim over the
-/// same internals for one release so existing callers can migrate
-/// incrementally, but new code should go through Session, whose shape
-/// keeps worker-thread state thread-private by construction.
 class StorageManager {
  public:
   /// Opens a storage manager over `volume` + `log_storage` (both owned by
@@ -80,70 +72,27 @@ class StorageManager {
 
   /// Opens a session — the per-worker-thread handle all new code uses for
   /// transactions and DML. Each worker thread opens exactly one; the
-  /// session must not outlive the manager. Destroying (or Harvest()ing)
-  /// the session folds its statistics into harvested_session_stats().
+  /// session must not outlive the manager.
   std::unique_ptr<Session> OpenSession();
-
-  /// Sum of every harvested session's counters (sessions publish on close
-  /// or explicit Harvest — the distributed-statistics design of §5).
-  SessionStats harvested_session_stats() const {
-    return session_stats_.Snapshot();
-  }
-  /// Internal: sessions fold their local counters in through this.
-  void HarvestSessionStats(const SessionStats& s) { session_stats_.Add(s); }
 
   // --- live metrics --------------------------------------------------------
 
   /// The live metrics hub: sessions register WorkerCounters blocks here,
   /// the buffer/log/lock subsystems feed it through sources wired at
   /// construction, and an obs::ProfilingThread over it turns any run into
-  /// a per-second CSV/JSON feed. Unlike harvested_session_stats(), its
-  /// Snapshot() is live — no Harvest needed.
+  /// a per-second CSV/JSON feed. Snapshot() is live: it reads every
+  /// worker's counters where they are bumped.
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
-  // --- transactions (DEPRECATED shims — use Session) ----------------------
+  // --- transaction-pointer entry points -------------------------------------
 
+  // Kept public only for perfbench's recovery cycle, which pins an
+  // in-flight transaction across SimulateCrash with these two calls.
+  // Everything else goes through Session.
   txn::Transaction* Begin() { return txns_->Begin(); }
-  Status Commit(txn::Transaction* txn) { return txns_->Commit(txn); }
-  Status Abort(txn::Transaction* txn) { return txns_->Abort(txn); }
-
-  // --- DDL ----------------------------------------------------------------
-
-  /// Creates a table (heap + index) holding exclusive store locks until
-  /// `txn` ends, so concurrent OpenTable(txn, ...) callers cannot observe
-  /// the table half-created. The catalog entry is logged and survives
-  /// recovery. DDL is not undone on abort (structure records are
-  /// redo-only, as in the original system): if `txn` aborts, the table
-  /// remains — whole and empty — and keeps its name.
-  Result<TableInfo> CreateTable(txn::Transaction* txn,
-                                const std::string& name);
-  /// Looks up a table by name under `txn`, taking a shared store lock: a
-  /// lookup racing in-flight DDL blocks until the DDL commits or aborts.
-  Result<TableInfo> OpenTable(txn::Transaction* txn, const std::string& name);
-  /// DEPRECATED: lock-free catalog peek. Can observe a table whose
-  /// creating transaction has not committed; use the transactional
-  /// overload (or Session::OpenTable).
-  Result<TableInfo> OpenTable(const std::string& name) const;
-
-  // --- DML (key → row payload; DEPRECATED shims — use Session) ------------
-
   /// Inserts a row; locks the new row exclusively; indexes `key`.
   Result<RecordId> Insert(txn::Transaction* txn, const TableInfo& table,
                           uint64_t key, std::span<const uint8_t> payload);
-  /// Reads the row for `key` under a shared row lock.
-  Result<std::vector<uint8_t>> Read(txn::Transaction* txn,
-                                    const TableInfo& table, uint64_t key);
-  /// Replaces the row payload for `key` under an exclusive row lock.
-  Status Update(txn::Transaction* txn, const TableInfo& table, uint64_t key,
-                std::span<const uint8_t> payload);
-  /// Deletes the row for `key` (heap + index) under an exclusive lock.
-  Status Delete(txn::Transaction* txn, const TableInfo& table, uint64_t key);
-  /// DEPRECATED: callback scan of [lo, hi] taking shared row locks; `fn`
-  /// returns false to stop. New code iterates with sm::Cursor
-  /// (Session::OpenCursor), which pulls rows without inverting control.
-  Status Scan(txn::Transaction* txn, const TableInfo& table, uint64_t lo,
-              uint64_t hi,
-              const std::function<bool(uint64_t, std::span<const uint8_t>)>& fn);
 
   // --- maintenance ---------------------------------------------------------
 
@@ -169,7 +118,7 @@ class StorageManager {
   /// the teardown would be writing into an abandoned pipeline).
   void SimulateCrash() {
     ckpt_daemon_.Stop();
-    crashed_ = true;
+    crashed_.store(true, std::memory_order_release);
     log_->Abandon();
   }
 
@@ -198,7 +147,6 @@ class StorageManager {
   buffer::BufferPool* pool() { return pool_.get(); }
   log::LogManager* log() { return log_.get(); }
   lock::LockManager* locks() { return locks_.get(); }
-  txn::TxnManager* txns() { return txns_.get(); }
   space::SpaceManager* space() { return space_.get(); }
   btree::BTree* index_of(const TableInfo& table);
   const StorageOptions& options() const { return options_; }
@@ -214,10 +162,27 @@ class StorageManager {
   /// redo/undo passes.
   void StartCheckpointDaemon();
 
+  /// Creates a table (heap + index) holding exclusive store locks until
+  /// `txn` ends, so concurrent OpenTable callers cannot observe the table
+  /// half-created. The catalog entry is logged and survives recovery. DDL
+  /// is not undone on abort (structure records are redo-only, as in the
+  /// original system): if `txn` aborts, the table remains — whole and
+  /// empty — and keeps its name.
+  Result<TableInfo> CreateTable(txn::Transaction* txn,
+                                const std::string& name);
+  /// Looks up a table by name under `txn`, taking a shared store lock: a
+  /// lookup racing in-flight DDL blocks until the DDL commits or aborts.
+  Result<TableInfo> OpenTable(txn::Transaction* txn, const std::string& name);
+
   /// Reads the row for `key` into `out` (reused across calls by sessions)
-  /// under a shared row lock. Backs both Read overload styles.
+  /// under a shared row lock.
   Status ReadInto(txn::Transaction* txn, const TableInfo& table, uint64_t key,
                   std::vector<uint8_t>* out);
+  /// Replaces the row payload for `key` under an exclusive row lock.
+  Status Update(txn::Transaction* txn, const TableInfo& table, uint64_t key,
+                std::span<const uint8_t> payload);
+  /// Deletes the row for `key` (heap + index) under an exclusive lock.
+  Status Delete(txn::Transaction* txn, const TableInfo& table, uint64_t key);
 
   /// CreateTable body after the name has been reserved in `creating_`.
   Result<TableInfo> CreateTableReserved(txn::Transaction* txn,
@@ -298,9 +263,10 @@ class StorageManager {
   std::unordered_map<StoreId, std::unique_ptr<btree::BTree>> indexes_;
   std::atomic<StoreId> next_store_{1};
   std::atomic<uint64_t> session_seq_{1};  ///< Per-session RNG seed stream.
-  SessionStatsAggregate session_stats_;
   obs::MetricsRegistry metrics_;
-  bool crashed_ = false;
+  /// Set by SimulateCrash. Atomic because a session closing on another
+  /// thread reads it to skip its rollback (nothing may reach the log).
+  std::atomic<bool> crashed_{false};
 
   /// Serializes Checkpoint() end to end (snapshot → record → recycle):
   /// overlapping checkpoints could append their records out of snapshot

@@ -344,17 +344,18 @@ TEST(CheckpointRecycleTest, RecycledLogRecoveryProperty) {
     {
       auto db = std::move(*sm::StorageManager::Open(
           BoundedLogOptions(true, false), &volume, &wal));
-      auto* ddl = db->Begin();
-      auto table = db->CreateTable(ddl, "t");
+      auto s = db->OpenSession();
+      ASSERT_TRUE(s->Begin().ok());
+      auto table = s->CreateTable("t");
       ASSERT_TRUE(table.ok());
-      ASSERT_TRUE(db->Commit(ddl).ok());
+      ASSERT_TRUE(s->Commit().ok());
       int txns = 40 + static_cast<int>(rng.Uniform(40));
       for (int i = 0; i < txns; ++i) {
         if (rng.Bernoulli(0.15)) {
           ASSERT_TRUE(db->pool()->CleanerPass(0).ok());
           ASSERT_TRUE(db->Checkpoint().ok());
         }
-        auto* txn = db->Begin();
+        ASSERT_TRUE(s->Begin().ok());
         std::map<uint64_t, std::vector<uint8_t>> delta = committed;
         bool ok = true;
         int ops = 1 + static_cast<int>(rng.Uniform(10));
@@ -363,28 +364,28 @@ TEST(CheckpointRecycleTest, RecycledLogRecoveryProperty) {
           if (rng.Bernoulli(0.7)) {
             std::vector<uint8_t> payload(8 + rng.Uniform(80));
             for (auto& b : payload) b = static_cast<uint8_t>(rng.Next());
-            ok = delta.contains(key)
-                     ? db->Update(txn, *table, key, payload).ok()
-                     : db->Insert(txn, *table, key, payload).ok();
+            ok = delta.contains(key) ? s->Update(*table, key, payload).ok()
+                                     : s->Insert(*table, key, payload).ok();
             if (ok) delta[key] = payload;
           } else if (delta.contains(key)) {
-            ok = db->Delete(txn, *table, key).ok();
+            ok = s->Delete(*table, key).ok();
             if (ok) delta.erase(key);
           }
         }
         if (!ok || rng.Bernoulli(0.2)) {
-          ASSERT_TRUE(db->Abort(txn).ok());
+          ASSERT_TRUE(s->Abort().ok());
         } else {
-          ASSERT_TRUE(db->Commit(txn).ok());
+          ASSERT_TRUE(s->Commit().ok());
           committed = std::move(delta);
         }
       }
       // Segments must actually have been recycled mid-workload.
       EXPECT_GT(db->log()->stats().segments_recycled.load(), 0u)
           << "seed " << seed;
-      // Leave a loser in flight for restart undo.
-      auto* loser = db->Begin();
-      (void)db->Insert(loser, *table, 99999, Row(1));
+      // Leave a loser in flight for restart undo: the session stays open
+      // across the crash and closes without writing.
+      ASSERT_TRUE(s->Begin().ok());
+      (void)s->Insert(*table, 99999, Row(1));
       db->SimulateCrash();
     }
     auto reopened = sm::StorageManager::Open(
@@ -394,11 +395,12 @@ TEST(CheckpointRecycleTest, RecycledLogRecoveryProperty) {
     auto& db = *reopened;
     EXPECT_LT(db->log()->stats().redo_scan_bytes.load(), wal.size())
         << "seed " << seed;
-    auto table = db->OpenTable("t");
+    auto check = db->OpenSession();
+    auto table = check->OpenTable("t");
     ASSERT_TRUE(table.ok());
-    auto* check = db->Begin();
+    ASSERT_TRUE(check->Begin().ok());
     for (const auto& [key, payload] : committed) {
-      auto read = db->Read(check, *table, key);
+      auto read = check->Read(*table, key);
       ASSERT_TRUE(read.ok()) << "lost key " << key << " (seed " << seed
                              << ")";
       EXPECT_TRUE(std::equal(read->begin(), read->end(), payload.begin(),
@@ -406,17 +408,16 @@ TEST(CheckpointRecycleTest, RecycledLogRecoveryProperty) {
           << "corrupt key " << key << " (seed " << seed << ")";
     }
     uint64_t rows = 0;
-    ASSERT_TRUE(db->Scan(check, *table, 0, UINT64_MAX,
-                         [&](uint64_t key, std::span<const uint8_t>) {
-                           EXPECT_TRUE(committed.contains(key))
-                               << "leaked key " << key << " (seed " << seed
-                               << ")";
-                           ++rows;
-                           return true;
-                         })
-                    .ok());
+    sm::Cursor cur = check->OpenCursor(*table);
+    Status st;
+    for (st = cur.Seek(0); st.ok() && cur.Valid(); st = cur.Next()) {
+      EXPECT_TRUE(committed.contains(cur.key()))
+          << "leaked key " << cur.key() << " (seed " << seed << ")";
+      ++rows;
+    }
+    ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(rows, committed.size()) << "seed " << seed;
-    ASSERT_TRUE(db->Commit(check).ok());
+    ASSERT_TRUE(check->Commit().ok());
   }
 }
 

@@ -55,8 +55,7 @@ TEST(CommitPipelineTest, CommitAsyncReturnsTokenAndWaitAcknowledges) {
   ASSERT_TRUE(session->Wait(&*token).ok());
   EXPECT_TRUE(token->durable);
   EXPECT_GE(h.sm->log()->durable_lsn().value, token->lsn.value);
-  EXPECT_EQ(session->stats().async_commits, 1u);
-  EXPECT_EQ(session->stats().commits, 1u);
+  EXPECT_EQ(session->counters()->Value(obs::Metric::kTxnCommits), 1u);
 }
 
 TEST(CommitPipelineTest, TryWaitAndPollAcksHarvestWithoutBlocking) {
@@ -273,10 +272,10 @@ TEST(CommitPipelineTest, UnacknowledgedCommitMayDieButNeverHalfApplies) {
     ASSERT_TRUE(session->Insert(*table, 2, Row("maybe")).ok());
     auto token = session->CommitAsync();
     ASSERT_TRUE(token.ok());
-    // Crash before the 60ms flush: skip Wait and destroy mid-flight. The
-    // session would normally WaitAll in its destructor; crash first.
+    // Crash before the 60ms flush: skip Wait and close mid-flight. A
+    // session closed after the crash neither waits nor writes.
     db->SimulateCrash();
-    session.release();  // Leak deliberately: a crashed process never waits.
+    session.reset();
   }
   auto reopened = StorageManager::Open(
       StorageOptions::ForStage(Stage::kFinal), &volume, &wal);
@@ -316,7 +315,7 @@ TEST(CommitPipelineTest, WaitAfterAbortIsCleanAndTokensOutliveAborts) {
 
   // Waiting again on an already-durable token is a cheap no-op.
   ASSERT_TRUE(session->Wait(&*token).ok());
-  EXPECT_GT(session->stats().commit_waits_avoided, 0u);
+  EXPECT_GT(session->counters()->Value(obs::Metric::kCommitWaitsAvoided), 0u);
 
   ASSERT_TRUE(session->Begin().ok());
   EXPECT_EQ(AsString(*session->Read(*table, 1)), "v");
@@ -432,7 +431,6 @@ TEST(CommitPipelineTest, OnDurableCallbackAcknowledgesAsyncCommit) {
   // The callback did not consume the session's pending-ack watermark:
   // Wait/WaitAll semantics are unchanged.
   ASSERT_TRUE(session->WaitAll().ok());
-  EXPECT_EQ(session->stats().durability_callbacks, 1u);
 }
 
 TEST(CommitPipelineTest, OnDurableCallbackSeesStickyPipelineError) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "obs/profiling_thread.h"
 #include "sm/session.h"
 #include "sm/storage_manager.h"
+#include "workload/tpcc.h"
 
 namespace shoremt::obs {
 namespace {
@@ -266,10 +269,10 @@ TEST(ProfilingThreadTest, StartStopTeardownRace) {
   }
 }
 
-/// End-to-end: a real StorageManager run, live registry totals vs the
-/// harvested SessionStats — the two statistics systems must agree on the
-/// counters they share, and the feed's cumulative account must match.
-TEST(ProfilingThreadTest, RegistryReconcilesWithSessionStats) {
+/// End-to-end: a real StorageManager run through one session. The registry
+/// is the only counter path, so its totals are exact counts of what the
+/// session did, and the feed's cumulative account matches them.
+TEST(ProfilingThreadTest, RegistryCountsEverySessionOperation) {
   io::MemVolume volume;
   log::LogStorage wal;
   auto opened = StorageManager::Open(
@@ -300,33 +303,86 @@ TEST(ProfilingThreadTest, RegistryReconcilesWithSessionStats) {
       ASSERT_TRUE(session->Read(*table, k).ok());
       ASSERT_TRUE(session->Commit().ok());
     }
-  }  // Session closes: harvests + folds its worker block into retired.
+  }  // Session closes: its worker block folds into the retired totals.
 
   prof.Stop();
-  sm::SessionStats harvested = db->harvested_session_stats();
   MetricsSnapshot live = db->metrics()->Snapshot();
   MetricsSnapshot emitted = prof.emitted();
 
-  EXPECT_EQ(live[Metric::kTxnBegins], harvested.begins);
-  EXPECT_EQ(live[Metric::kTxnCommits], harvested.commits);
-  EXPECT_EQ(live[Metric::kTxnAborts], harvested.aborts);
-  EXPECT_EQ(live[Metric::kInserts], harvested.inserts);
-  EXPECT_EQ(live[Metric::kReads], harvested.reads);
-  EXPECT_EQ(live[Metric::kLockWaits], harvested.lock_waits);
-  EXPECT_EQ(live[Metric::kLogBytes], harvested.log_bytes);
-  // The feed's cumulative deltas match the live totals for the
-  // worker-side metrics (sources keep moving after Stop — e.g. the
-  // session-close path itself appends no more, but compare worker-side
-  // only to stay exact).
-  EXPECT_EQ(emitted[Metric::kTxnCommits], live[Metric::kTxnCommits]);
-  EXPECT_EQ(emitted[Metric::kInserts], live[Metric::kInserts]);
-  EXPECT_EQ(emitted[Metric::kReads], live[Metric::kReads]);
-  EXPECT_EQ(emitted.latency.count, harvested.commits);
+  EXPECT_EQ(live[Metric::kTxnBegins], 301u);
+  EXPECT_EQ(live[Metric::kTxnCommits], 301u);
+  EXPECT_EQ(live[Metric::kTxnAborts], 0u);
+  EXPECT_EQ(live[Metric::kInserts], 200u);
+  EXPECT_EQ(live[Metric::kReads], 100u);
+  EXPECT_EQ(live.latency.count, 301u);
+  EXPECT_GT(live[Metric::kLogBytes], 0u);
+  // The feed's cumulative deltas equal the live totals for every
+  // worker-side metric (engine sources keep moving after Stop, so only
+  // the worker side is exact).
+  for (Metric m : {Metric::kTxnBegins, Metric::kTxnCommits, Metric::kInserts,
+                   Metric::kReads, Metric::kLogBytes, Metric::kLockWaits,
+                   Metric::kLockCacheHits, Metric::kCommitWaits,
+                   Metric::kCommitWaitsAvoided}) {
+    EXPECT_EQ(emitted[m], live[m]) << MetricName(m);
+  }
+  EXPECT_EQ(emitted.latency.count, live.latency.count);
   // Engine sources feed the registry too: the inserts touched the buffer
   // pool and the log.
   EXPECT_GT(live[Metric::kBufferHits], 0u);
   EXPECT_GT(live[Metric::kLogRecords], 0u);
   EXPECT_GT(live[Metric::kLockAcquired], 0u);
+}
+
+/// The registry's views of subsystem stats structs equal the structs: a
+/// short TPC-C run through sessions over a pool small enough to evict.
+TEST(ProfilingThreadTest, RegistrySourcesMatchSubsystemStats) {
+  io::MemVolume volume;
+  log::LogStorage wal;
+  StorageOptions options = StorageOptions::ForStage(sm::Stage::kFinal);
+  options.buffer.frame_count = 16;
+  auto opened = StorageManager::Open(options, &volume, &wal);
+  ASSERT_TRUE(opened.ok());
+  auto& db = *opened;
+  {
+    auto session = db->OpenSession();
+    workload::TpccConfig cfg;
+    cfg.warehouses = 2;
+    cfg.districts_per_warehouse = 2;
+    cfg.customers_per_district = 60;
+    cfg.items = 1000;
+    auto tpcc = workload::LoadTpcc(session.get(), cfg);
+    ASSERT_TRUE(tpcc.ok()) << tpcc.status().ToString();
+    int committed = 0;
+    for (int i = 0; i < 50; ++i) {
+      committed += workload::RunPayment(session.get(), &*tpcc, 1 + i % 2);
+      committed += workload::RunNewOrder(session.get(), &*tpcc, 1 + i % 2);
+    }
+    ASSERT_GT(committed, 0);
+  }
+  auto structs = [&] {
+    return std::array<uint64_t, 3>{
+        db->pool()->stats().evictions.load(),
+        db->space()->stats().pages_allocated.load(),
+        db->log()->stats().group_batch_txns.load()};
+  };
+  // The flush daemon books a batch just after waking its committers: read
+  // the structs on both sides of the snapshot until they agree.
+  std::array<uint64_t, 3> before, after;
+  MetricsSnapshot snap;
+  for (int tries = 0; tries < 1000; ++tries) {
+    before = structs();
+    snap = db->metrics()->Snapshot();
+    after = structs();
+    if (before == after) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(before, after) << "subsystem counters never settled";
+  EXPECT_GT(after[0], 0u) << "the pool never evicted";
+  EXPECT_GT(after[1], 0u);
+  EXPECT_GT(after[2], 0u);
+  EXPECT_EQ(snap[Metric::kEvictions], after[0]);
+  EXPECT_EQ(snap[Metric::kPagesAllocated], after[1]);
+  EXPECT_EQ(snap[Metric::kGroupBatchTxns], after[2]);
 }
 
 }  // namespace

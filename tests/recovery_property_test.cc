@@ -8,6 +8,7 @@
 #include "io/volume.h"
 #include "log/log_storage.h"
 #include "sm/options.h"
+#include "sm/session.h"
 #include "sm/storage_manager.h"
 
 namespace shoremt::sm {
@@ -40,10 +41,11 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
         StorageManager::Open(StorageOptions::ForStage(stage), &volume, &wal);
     ASSERT_TRUE(opened.ok());
     auto& db = *opened;
-    auto* ddl = db->Begin();
-    auto table = db->CreateTable(ddl, "t");
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE(db->Commit(ddl).ok());
+    ASSERT_TRUE(s->Commit().ok());
 
     int total_txns = 30 + static_cast<int>(rng.Uniform(30));
     int crash_after = static_cast<int>(rng.Uniform(total_txns));
@@ -51,7 +53,7 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
       if (checkpoint_midway && i == crash_after / 2) {
         ASSERT_TRUE(db->Checkpoint().ok());
       }
-      auto* txn = db->Begin();
+      ASSERT_TRUE(s->Begin().ok());
       // Shadow of this transaction's effects.
       std::map<uint64_t, std::vector<uint8_t>> delta = committed;
       int ops = 1 + static_cast<int>(rng.Uniform(8));
@@ -63,18 +65,18 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
           std::vector<uint8_t> payload(8 + rng.Uniform(120));
           for (auto& b : payload) b = static_cast<uint8_t>(rng.Next());
           if (delta.contains(key)) {
-            ok = db->Update(txn, *table, key, payload).ok();
+            ok = s->Update(*table, key, payload).ok();
           } else {
-            ok = db->Insert(txn, *table, key, payload).ok();
+            ok = s->Insert(*table, key, payload).ok();
           }
           if (ok) delta[key] = payload;
         } else if (kind < 80) {
           if (delta.contains(key)) {
-            ok = db->Delete(txn, *table, key).ok();
+            ok = s->Delete(*table, key).ok();
             if (ok) delta.erase(key);
           }
         } else {
-          auto read = db->Read(txn, *table, key);
+          auto read = s->Read(*table, key);
           if (delta.contains(key)) {
             ok = read.ok() && std::equal(read->begin(), read->end(),
                                          delta[key].begin(),
@@ -85,19 +87,19 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
         }
       }
       if (!ok) {
-        ASSERT_TRUE(db->Abort(txn).ok());
+        ASSERT_TRUE(s->Abort().ok());
       } else if (rng.Bernoulli(0.25)) {
         // Deliberate rollback: delta discarded.
-        ASSERT_TRUE(db->Abort(txn).ok());
+        ASSERT_TRUE(s->Abort().ok());
       } else {
-        ASSERT_TRUE(db->Commit(txn).ok());
+        ASSERT_TRUE(s->Commit().ok());
         committed = std::move(delta);
       }
       if (i == crash_after) {
-        // Leave one transaction in flight at the crash for extra spice.
-        auto* loser = db->Begin();
-        (void)db->Insert(loser, *table, 9999,
-                         std::vector<uint8_t>(16, 0xDE));
+        // Leave one transaction in flight at the crash for extra spice:
+        // the session stays open across it and closes without writing.
+        ASSERT_TRUE(s->Begin().ok());
+        (void)s->Insert(*table, 9999, std::vector<uint8_t>(16, 0xDE));
         break;
       }
     }
@@ -109,13 +111,14 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
       StorageManager::Open(StorageOptions::ForStage(stage), &volume, &wal);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   auto& db = *reopened;
-  auto table = db->OpenTable("t");
+  auto check = db->OpenSession();
+  auto table = check->OpenTable("t");
   ASSERT_TRUE(table.ok());
 
-  auto* check = db->Begin();
+  ASSERT_TRUE(check->Begin().ok());
   // Every committed row present and intact.
   for (const auto& [key, payload] : committed) {
-    auto read = db->Read(check, *table, key);
+    auto read = check->Read(*table, key);
     ASSERT_TRUE(read.ok()) << "lost committed key " << key << " (seed "
                            << seed << ")";
     EXPECT_TRUE(std::equal(read->begin(), read->end(), payload.begin(),
@@ -124,23 +127,22 @@ TEST_P(RecoveryProperty, CommittedStateSurvivesRandomCrash) {
   }
   // No extra rows (uncommitted leaks), checked via full scan.
   uint64_t rows = 0;
-  ASSERT_TRUE(db->Scan(check, *table, 0, UINT64_MAX,
-                       [&](uint64_t key, std::span<const uint8_t>) {
-                         EXPECT_TRUE(committed.contains(key))
-                             << "leaked uncommitted key " << key << " (seed "
-                             << seed << ")";
-                         ++rows;
-                         return true;
-                       }).ok());
+  Cursor cur = check->OpenCursor(*table);
+  Status st;
+  for (st = cur.Seek(0); st.ok() && cur.Valid(); st = cur.Next()) {
+    EXPECT_TRUE(committed.contains(cur.key()))
+        << "leaked uncommitted key " << cur.key() << " (seed " << seed << ")";
+    ++rows;
+  }
+  ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(rows, committed.size());
-  ASSERT_TRUE(db->Commit(check).ok());
+  ASSERT_TRUE(check->Commit().ok());
 
   // And the recovered system remains fully usable.
-  auto* writer = db->Begin();
-  ASSERT_TRUE(db->Insert(writer, *table, 777777,
-                         std::vector<uint8_t>(8, 0x42))
-                  .ok());
-  ASSERT_TRUE(db->Commit(writer).ok());
+  ASSERT_TRUE(check->Begin().ok());
+  ASSERT_TRUE(
+      check->Insert(*table, 777777, std::vector<uint8_t>(8, 0x42)).ok());
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -168,34 +170,36 @@ TEST(RecoveryProperty2, DoubleCrashWithClrsIsStable) {
   {
     auto db = std::move(*StorageManager::Open(
         StorageOptions::ForStage(Stage::kFinal), &volume, &wal));
-    auto* ddl = db->Begin();
-    auto table = db->CreateTable(ddl, "t");
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE(db->Commit(ddl).ok());
-    auto* t1 = db->Begin();
-    ASSERT_TRUE(db->Insert(t1, *table, 1, payload).ok());
-    ASSERT_TRUE(db->Commit(t1).ok());
+    ASSERT_TRUE(s->Commit().ok());
+    ASSERT_TRUE(s->Begin().ok());
+    ASSERT_TRUE(s->Insert(*table, 1, payload).ok());
+    ASSERT_TRUE(s->Commit().ok());
     // Aborted txn → CLRs in the log.
-    auto* t2 = db->Begin();
-    ASSERT_TRUE(db->Update(t2, *table, 1, std::vector<uint8_t>(8, 1)).ok());
-    ASSERT_TRUE(db->Insert(t2, *table, 2, payload).ok());
-    ASSERT_TRUE(db->Abort(t2).ok());
+    ASSERT_TRUE(s->Begin().ok());
+    ASSERT_TRUE(s->Update(*table, 1, std::vector<uint8_t>(8, 1)).ok());
+    ASSERT_TRUE(s->Insert(*table, 2, payload).ok());
+    ASSERT_TRUE(s->Abort().ok());
     // In-flight txn at crash → restart undo writes more CLRs.
-    auto* t3 = db->Begin();
-    ASSERT_TRUE(db->Update(t3, *table, 1, std::vector<uint8_t>(8, 2)).ok());
+    ASSERT_TRUE(s->Begin().ok());
+    ASSERT_TRUE(s->Update(*table, 1, std::vector<uint8_t>(8, 2)).ok());
     db->SimulateCrash();
   }
   for (int round = 0; round < 3; ++round) {
     auto db = std::move(*StorageManager::Open(
         StorageOptions::ForStage(Stage::kFinal), &volume, &wal));
-    auto table = db->OpenTable("t");
+    auto check = db->OpenSession();
+    auto table = check->OpenTable("t");
     ASSERT_TRUE(table.ok());
-    auto* check = db->Begin();
-    auto read = db->Read(check, *table, 1);
+    ASSERT_TRUE(check->Begin().ok());
+    auto read = check->Read(*table, 1);
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read->size(), payload.size()) << "round " << round;
-    EXPECT_TRUE(db->Read(check, *table, 2).status().IsNotFound());
-    ASSERT_TRUE(db->Commit(check).ok());
+    EXPECT_TRUE(check->Read(*table, 2).status().IsNotFound());
+    ASSERT_TRUE(check->Commit().ok());
     db->SimulateCrash();  // Crash again immediately after recovery.
   }
 }

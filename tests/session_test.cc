@@ -162,7 +162,7 @@ TEST(SessionTest, CursorSurvivesConcurrentInsertsAndSplits) {
   EXPECT_EQ(evens, kBase);
 }
 
-TEST(SessionTest, HarvestTotalsMatchPerSessionCounts) {
+TEST(SessionTest, RegistryKeepsCountsOfClosedSessions) {
   Harness h;
   TableInfo table;
   {
@@ -172,13 +172,12 @@ TEST(SessionTest, HarvestTotalsMatchPerSessionCounts) {
     ASSERT_TRUE(t.ok());
     table = *t;
     ASSERT_TRUE(setup->Commit().ok());
-  }  // Setup session harvested here.
-  SessionStats baseline = h.sm->harvested_session_stats();
+  }
+  obs::MetricsSnapshot before = h.sm->metrics()->Snapshot();
 
   constexpr int kThreads = 4;
   constexpr int kTxnsPerThread = 25;
   constexpr int kInsertsPerTxn = 4;
-  std::vector<SessionStats> local(kThreads);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
@@ -193,25 +192,21 @@ TEST(SessionTest, HarvestTotalsMatchPerSessionCounts) {
         }
         ASSERT_TRUE(session->Commit().ok());
       }
-      local[t] = session->stats();  // Snapshot before harvest-on-close.
-    });
+    });  // The session closes here and unregisters its counter block.
   }
   for (auto& w : workers) w.join();
+  ASSERT_EQ(h.sm->metrics()->active_workers(), 0u);
 
-  // The manager's aggregate must equal the sum of what each session
-  // counted privately — nothing lost, nothing double-counted.
-  SessionStats expected;
-  for (const auto& s : local) expected.Add(s);
-  SessionStats agg = h.sm->harvested_session_stats();
-  EXPECT_EQ(agg.inserts - baseline.inserts, expected.inserts);
-  EXPECT_EQ(agg.reads - baseline.reads, expected.reads);
-  EXPECT_EQ(agg.commits - baseline.commits, expected.commits);
-  EXPECT_EQ(agg.log_bytes - baseline.log_bytes, expected.log_bytes);
-  EXPECT_EQ(expected.inserts,
-            uint64_t{kThreads} * kTxnsPerThread * kInsertsPerTxn);
-  EXPECT_EQ(expected.reads,
-            uint64_t{kThreads} * kTxnsPerThread * kInsertsPerTxn);
-  EXPECT_GT(expected.log_bytes, 0u);
+  // Every closed worker's counts live on in the registry's totals: nothing
+  // lost at unregister, nothing double-counted.
+  obs::MetricsSnapshot after = h.sm->metrics()->Snapshot();
+  auto delta = [&](obs::Metric m) { return after[m] - before[m]; };
+  EXPECT_EQ(delta(obs::Metric::kInserts), 400u);
+  EXPECT_EQ(delta(obs::Metric::kReads), 400u);
+  EXPECT_EQ(delta(obs::Metric::kTxnCommits), 100u);
+  EXPECT_EQ(delta(obs::Metric::kTxnBegins), 100u);
+  EXPECT_EQ(after.latency.count - before.latency.count, 100u);
+  EXPECT_GT(delta(obs::Metric::kLogBytes), 0u);
 }
 
 TEST(SessionTest, ConcurrentInsertsIntoOneHeapNeverFailToPlace) {
@@ -293,8 +288,6 @@ TEST(SessionTest, ApplyCommitsWholeBatch) {
   EXPECT_EQ(AsString(*session->Read(*table, 2)), "two");
   EXPECT_EQ(AsString(*session->Read(*table, 1)), "one v2");
   ASSERT_TRUE(session->Commit().ok());
-  EXPECT_EQ(session->stats().batches, 1u);
-  EXPECT_EQ(session->stats().batch_ops, 2u);
 }
 
 TEST(SessionTest, ApplyIsAtomicOnMidBatchFailure) {
@@ -380,21 +373,71 @@ TEST(SessionTest, ReadBufferIsReusedAcrossReads) {
   ASSERT_TRUE(session->Commit().ok());
 }
 
-TEST(SessionTest, DeprecatedFacadeInteroperatesWithSessions) {
-  Harness h;
-  auto session = h.sm->OpenSession();
-  ASSERT_TRUE(session->Begin().ok());
-  auto table = session->CreateTable("t");
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE(session->Insert(*table, 1, Row("via-session")).ok());
-  ASSERT_TRUE(session->Commit().ok());
+TEST(SessionTest, SessionClosedAfterCrashWritesNothing) {
+  io::MemVolume volume;
+  log::LogStorage wal;
+  const StorageOptions opts = StorageOptions::ForStage(Stage::kFinal);
+  {
+    auto sm = StorageManager::Open(opts, &volume, &wal);
+    ASSERT_TRUE(sm.ok());
+    auto session = (*sm)->OpenSession();
+    ASSERT_TRUE(session->Begin().ok());
+    auto table = session->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(session->Insert(*table, 1, Row("committed")).ok());
+    ASSERT_TRUE(session->Commit().ok());
 
-  // Old-style callers still work against the same data.
-  auto* txn = h.sm->Begin();
-  auto read = h.sm->Read(txn, *table, 1);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(std::string(read->begin(), read->end()), "via-session");
-  ASSERT_TRUE(h.sm->Commit(txn).ok());
+    ASSERT_TRUE(session->Begin().ok());
+    ASSERT_TRUE(session->Update(*table, 1, Row("in-flight")).ok());
+    ASSERT_TRUE(session->Insert(*table, 2, Row("in-flight")).ok());
+    (*sm)->SimulateCrash();
+    const uint64_t wal_at_crash = wal.size();
+    // Closing must not roll the loser back: its CLRs and abort record
+    // would reach the log the crash already froze.
+    session.reset();
+    EXPECT_EQ(wal.size(), wal_at_crash) << "a crashed session wrote the log";
+  }
+  auto sm = StorageManager::Open(opts, &volume, &wal);
+  ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+  auto check = (*sm)->OpenSession();
+  auto table = check->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(check->Begin().ok());
+  EXPECT_EQ(AsString(*check->Read(*table, 1)), "committed");
+  EXPECT_TRUE(check->Read(*table, 2).status().IsNotFound());
+  ASSERT_TRUE(check->Commit().ok());
+}
+
+TEST(SessionTest, PinnedTransactionIsLoserAfterCrash) {
+  // The manager's Begin + Insert(txn*) pair: a transaction begun outside
+  // any session and never finished must come back rolled back.
+  io::MemVolume volume;
+  log::LogStorage wal;
+  const StorageOptions opts = StorageOptions::ForStage(Stage::kFinal);
+  {
+    auto sm = StorageManager::Open(opts, &volume, &wal);
+    ASSERT_TRUE(sm.ok());
+    auto session = (*sm)->OpenSession();
+    ASSERT_TRUE(session->Begin().ok());
+    auto table = session->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(session->Insert(*table, 1, Row("via-session")).ok());
+    ASSERT_TRUE(session->Commit().ok());
+
+    txn::Transaction* pin = (*sm)->Begin();
+    ASSERT_TRUE((*sm)->Insert(pin, *table, 2, Row("pinned")).ok());
+    ASSERT_TRUE((*sm)->log()->FlushAll().ok());
+    (*sm)->SimulateCrash();
+  }
+  auto sm = StorageManager::Open(opts, &volume, &wal);
+  ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+  auto check = (*sm)->OpenSession();
+  auto table = check->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(check->Begin().ok());
+  EXPECT_EQ(AsString(*check->Read(*table, 1)), "via-session");
+  EXPECT_TRUE(check->Read(*table, 2).status().IsNotFound());
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ std::vector<uint8_t> Row(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
-std::string AsString(const std::vector<uint8_t>& v) {
+std::string AsString(std::span<const uint8_t> v) {
   return std::string(v.begin(), v.end());
 }
 
@@ -39,160 +39,167 @@ TEST(StorageManagerTest, CreateOpenTable) {
   Durable d;
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto* txn = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(txn, "users");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("users");
   ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*sm)->CreateTable(txn, "users").status().code(),
+  EXPECT_EQ(s->CreateTable("users").status().code(),
             StatusCode::kAlreadyExists);
-  ASSERT_TRUE((*sm)->Commit(txn).ok());
-  auto opened = (*sm)->OpenTable("users");
+  ASSERT_TRUE(s->Commit().ok());
+  auto opened = s->OpenTable("users");
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened->heap_store, table->heap_store);
-  EXPECT_TRUE((*sm)->OpenTable("ghosts").status().IsNotFound());
+  EXPECT_TRUE(s->OpenTable("ghosts").status().IsNotFound());
 }
 
 TEST(StorageManagerTest, InsertReadRoundtrip) {
   Durable d;
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto* txn = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(txn, "t");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
-  auto rid = (*sm)->Insert(txn, *table, 7, Row("hello"));
+  auto rid = s->Insert(*table, 7, Row("hello"));
   ASSERT_TRUE(rid.ok());
-  auto read = (*sm)->Read(txn, *table, 7);
+  auto read = s->Read(*table, 7);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(AsString(*read), "hello");
-  EXPECT_TRUE((*sm)->Read(txn, *table, 8).status().IsNotFound());
-  ASSERT_TRUE((*sm)->Commit(txn).ok());
+  EXPECT_TRUE(s->Read(*table, 8).status().IsNotFound());
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 TEST(StorageManagerTest, UpdateAndDelete) {
   Durable d;
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto* txn = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(txn, "t");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*sm)->Insert(txn, *table, 1, Row("v1")).ok());
-  ASSERT_TRUE((*sm)->Update(txn, *table, 1, Row("v2-longer")).ok());
-  EXPECT_EQ(AsString(*(*sm)->Read(txn, *table, 1)), "v2-longer");
-  ASSERT_TRUE((*sm)->Delete(txn, *table, 1).ok());
-  EXPECT_TRUE((*sm)->Read(txn, *table, 1).status().IsNotFound());
-  EXPECT_TRUE((*sm)->Delete(txn, *table, 1).IsNotFound());
-  ASSERT_TRUE((*sm)->Commit(txn).ok());
+  ASSERT_TRUE(s->Insert(*table, 1, Row("v1")).ok());
+  ASSERT_TRUE(s->Update(*table, 1, Row("v2-longer")).ok());
+  EXPECT_EQ(AsString(*s->Read(*table, 1)), "v2-longer");
+  ASSERT_TRUE(s->Delete(*table, 1).ok());
+  EXPECT_TRUE(s->Read(*table, 1).status().IsNotFound());
+  EXPECT_TRUE(s->Delete(*table, 1).IsNotFound());
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 TEST(StorageManagerTest, ScanOrderedRange) {
   Durable d;
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto* txn = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(txn, "t");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
   for (uint64_t k = 0; k < 50; ++k) {
-    ASSERT_TRUE(
-        (*sm)->Insert(txn, *table, k, Row("row" + std::to_string(k))).ok());
+    ASSERT_TRUE(s->Insert(*table, k, Row("row" + std::to_string(k))).ok());
   }
-  ASSERT_TRUE((*sm)->Commit(txn).ok());
+  ASSERT_TRUE(s->Commit().ok());
 
-  auto* txn2 = (*sm)->Begin();
+  ASSERT_TRUE(s->Begin().ok());
   std::vector<uint64_t> keys;
-  ASSERT_TRUE((*sm)->Scan(txn2, *table, 10, 20,
-                          [&](uint64_t key, std::span<const uint8_t> row) {
-                            keys.push_back(key);
-                            EXPECT_EQ(std::string(row.begin(), row.end()),
-                                      "row" + std::to_string(key));
-                            return true;
-                          }).ok());
+  Cursor cur = s->OpenCursor(*table);
+  for (Status st = cur.Seek(10); cur.Valid() && cur.key() <= 20;
+       st = cur.Next()) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    keys.push_back(cur.key());
+    EXPECT_EQ(AsString(cur.value()), "row" + std::to_string(cur.key()));
+  }
   ASSERT_EQ(keys.size(), 11u);
   EXPECT_EQ(keys.front(), 10u);
   EXPECT_EQ(keys.back(), 20u);
-  ASSERT_TRUE((*sm)->Commit(txn2).ok());
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 TEST(StorageManagerTest, AbortRollsBackHeapAndIndex) {
   Durable d;
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto* setup = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(setup, "t");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*sm)->Insert(setup, *table, 1, Row("keep")).ok());
-  ASSERT_TRUE((*sm)->Commit(setup).ok());
+  ASSERT_TRUE(s->Insert(*table, 1, Row("keep")).ok());
+  ASSERT_TRUE(s->Commit().ok());
 
-  auto* txn = (*sm)->Begin();
-  ASSERT_TRUE((*sm)->Insert(txn, *table, 2, Row("discard")).ok());
-  ASSERT_TRUE((*sm)->Update(txn, *table, 1, Row("mutated")).ok());
-  ASSERT_TRUE((*sm)->Abort(txn).ok());
+  ASSERT_TRUE(s->Begin().ok());
+  ASSERT_TRUE(s->Insert(*table, 2, Row("discard")).ok());
+  ASSERT_TRUE(s->Update(*table, 1, Row("mutated")).ok());
+  ASSERT_TRUE(s->Abort().ok());
 
-  auto* check = (*sm)->Begin();
-  EXPECT_TRUE((*sm)->Read(check, *table, 2).status().IsNotFound())
+  ASSERT_TRUE(s->Begin().ok());
+  EXPECT_TRUE(s->Read(*table, 2).status().IsNotFound())
       << "aborted insert must vanish from the index";
-  EXPECT_EQ(AsString(*(*sm)->Read(check, *table, 1)), "keep")
+  EXPECT_EQ(AsString(*s->Read(*table, 1)), "keep")
       << "aborted update must restore the old image";
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 TEST(StorageManagerTest, AbortRestoresDeletedRow) {
   Durable d;
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto* setup = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(setup, "t");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*sm)->Insert(setup, *table, 5, Row("precious")).ok());
-  ASSERT_TRUE((*sm)->Commit(setup).ok());
+  ASSERT_TRUE(s->Insert(*table, 5, Row("precious")).ok());
+  ASSERT_TRUE(s->Commit().ok());
 
-  auto* txn = (*sm)->Begin();
-  ASSERT_TRUE((*sm)->Delete(txn, *table, 5).ok());
-  ASSERT_TRUE((*sm)->Abort(txn).ok());
+  ASSERT_TRUE(s->Begin().ok());
+  ASSERT_TRUE(s->Delete(*table, 5).ok());
+  ASSERT_TRUE(s->Abort().ok());
 
-  auto* check = (*sm)->Begin();
-  EXPECT_EQ(AsString(*(*sm)->Read(check, *table, 5)), "precious");
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(s->Begin().ok());
+  EXPECT_EQ(AsString(*s->Read(*table, 5)), "precious");
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 TEST(StorageManagerTest, DuplicateKeyInsertFailsCleanly) {
   Durable d;
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto* txn = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(txn, "t");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*sm)->Insert(txn, *table, 1, Row("first")).ok());
-  EXPECT_EQ((*sm)->Insert(txn, *table, 1, Row("second")).status().code(),
+  ASSERT_TRUE(s->Insert(*table, 1, Row("first")).ok());
+  EXPECT_EQ(s->Insert(*table, 1, Row("second")).status().code(),
             StatusCode::kAlreadyExists);
-  ASSERT_TRUE((*sm)->Abort(txn).ok());
+  ASSERT_TRUE(s->Abort().ok());
 }
 
 TEST(StorageManagerTest, CrashBeforeCommitLosesNothingDurable) {
   Durable d;
-  TableInfo table;
   {
     auto sm = d.Open();
     ASSERT_TRUE(sm.ok());
-    auto* setup = (*sm)->Begin();
-    auto t = (*sm)->CreateTable(setup, "t");
-    ASSERT_TRUE(t.ok());
-    table = *t;
-    ASSERT_TRUE((*sm)->Insert(setup, table, 1, Row("durable")).ok());
-    ASSERT_TRUE((*sm)->Commit(setup).ok());
+    auto setup = (*sm)->OpenSession();
+    ASSERT_TRUE(setup->Begin().ok());
+    auto table = setup->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(setup->Insert(*table, 1, Row("durable")).ok());
+    ASSERT_TRUE(setup->Commit().ok());
 
-    auto* loser = (*sm)->Begin();
-    ASSERT_TRUE((*sm)->Insert(loser, table, 2, Row("in-flight")).ok());
-    ASSERT_TRUE((*sm)->Update(loser, table, 1, Row("tampered")).ok());
+    auto loser = (*sm)->OpenSession();
+    ASSERT_TRUE(loser->Begin().ok());
+    ASSERT_TRUE(loser->Insert(*table, 2, Row("in-flight")).ok());
+    ASSERT_TRUE(loser->Update(*table, 1, Row("tampered")).ok());
     // Crash: loser never commits; nothing was flushed to the volume.
     (*sm)->SimulateCrash();
   }
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok()) << sm.status().ToString();
-  auto* check = (*sm)->Begin();
-  auto reopened = (*sm)->OpenTable("t");
+  auto check = (*sm)->OpenSession();
+  ASSERT_TRUE(check->Begin().ok());
+  auto reopened = check->OpenTable("t");
   ASSERT_TRUE(reopened.ok()) << "catalog must survive via the log";
-  EXPECT_EQ(AsString(*(*sm)->Read(check, *reopened, 1)), "durable");
-  EXPECT_TRUE((*sm)->Read(check, *reopened, 2).status().IsNotFound());
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  EXPECT_EQ(AsString(*check->Read(*reopened, 1)), "durable");
+  EXPECT_TRUE(check->Read(*reopened, 2).status().IsNotFound());
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 TEST(StorageManagerTest, CrashAfterCommitPreservesEverything) {
@@ -200,27 +207,28 @@ TEST(StorageManagerTest, CrashAfterCommitPreservesEverything) {
   {
     auto sm = d.Open();
     ASSERT_TRUE(sm.ok());
-    auto* txn = (*sm)->Begin();
-    auto table = (*sm)->CreateTable(txn, "t");
+    auto s = (*sm)->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
     for (uint64_t k = 0; k < 200; ++k) {
-      ASSERT_TRUE(
-          (*sm)->Insert(txn, *table, k, Row("val" + std::to_string(k))).ok());
+      ASSERT_TRUE(s->Insert(*table, k, Row("val" + std::to_string(k))).ok());
     }
-    ASSERT_TRUE((*sm)->Commit(txn).ok());
+    ASSERT_TRUE(s->Commit().ok());
     (*sm)->SimulateCrash();  // Volume never saw most of these pages.
   }
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok()) << sm.status().ToString();
-  auto table = (*sm)->OpenTable("t");
+  auto check = (*sm)->OpenSession();
+  auto table = check->OpenTable("t");
   ASSERT_TRUE(table.ok());
-  auto* check = (*sm)->Begin();
+  ASSERT_TRUE(check->Begin().ok());
   for (uint64_t k = 0; k < 200; ++k) {
-    auto read = (*sm)->Read(check, *table, k);
+    auto read = check->Read(*table, k);
     ASSERT_TRUE(read.ok()) << "key " << k << ": " << read.status().ToString();
     EXPECT_EQ(AsString(*read), "val" + std::to_string(k));
   }
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 TEST(StorageManagerTest, RecoveredSplitRootIsInternal) {
@@ -245,7 +253,7 @@ TEST(StorageManagerTest, RecoveredSplitRootIsInternal) {
   }
   auto sm = d.Open(options);
   ASSERT_TRUE(sm.ok()) << sm.status().ToString();
-  auto table = (*sm)->OpenTable("t");
+  auto table = (*sm)->OpenSession()->OpenTable("t");
   ASSERT_TRUE(table.ok());
   auto root =
       (*sm)->pool()->FixPage(table->index_root, sync::LatchMode::kShared);
@@ -260,13 +268,15 @@ TEST(StorageManagerTest, RecoveryIsIdempotentAcrossDoubleCrash) {
   {
     auto sm = d.Open();
     ASSERT_TRUE(sm.ok());
-    auto* txn = (*sm)->Begin();
-    auto table = (*sm)->CreateTable(txn, "t");
+    auto s = (*sm)->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE((*sm)->Insert(txn, *table, 1, Row("one")).ok());
-    ASSERT_TRUE((*sm)->Commit(txn).ok());
-    auto* loser = (*sm)->Begin();
-    ASSERT_TRUE((*sm)->Insert(loser, *table, 2, Row("two")).ok());
+    ASSERT_TRUE(s->Insert(*table, 1, Row("one")).ok());
+    ASSERT_TRUE(s->Commit().ok());
+    auto loser = (*sm)->OpenSession();
+    ASSERT_TRUE(loser->Begin().ok());
+    ASSERT_TRUE(loser->Insert(*table, 2, Row("two")).ok());
     (*sm)->SimulateCrash();
   }
   {
@@ -277,12 +287,13 @@ TEST(StorageManagerTest, RecoveryIsIdempotentAcrossDoubleCrash) {
   }
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto table = (*sm)->OpenTable("t");
+  auto check = (*sm)->OpenSession();
+  auto table = check->OpenTable("t");
   ASSERT_TRUE(table.ok());
-  auto* check = (*sm)->Begin();
-  EXPECT_EQ(AsString(*(*sm)->Read(check, *table, 1)), "one");
-  EXPECT_TRUE((*sm)->Read(check, *table, 2).status().IsNotFound());
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(check->Begin().ok());
+  EXPECT_EQ(AsString(*check->Read(*table, 1)), "one");
+  EXPECT_TRUE(check->Read(*table, 2).status().IsNotFound());
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 TEST(StorageManagerTest, CheckpointBoundsRecoveryWork) {
@@ -290,28 +301,30 @@ TEST(StorageManagerTest, CheckpointBoundsRecoveryWork) {
   {
     auto sm = d.Open();
     ASSERT_TRUE(sm.ok());
-    auto* txn = (*sm)->Begin();
-    auto table = (*sm)->CreateTable(txn, "t");
+    auto s = (*sm)->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
     for (uint64_t k = 0; k < 100; ++k) {
-      ASSERT_TRUE((*sm)->Insert(txn, *table, k, Row("x")).ok());
+      ASSERT_TRUE(s->Insert(*table, k, Row("x")).ok());
     }
-    ASSERT_TRUE((*sm)->Commit(txn).ok());
+    ASSERT_TRUE(s->Commit().ok());
     auto ck = (*sm)->Checkpoint();
     ASSERT_TRUE(ck.ok());
-    auto* txn2 = (*sm)->Begin();
-    ASSERT_TRUE((*sm)->Insert(txn2, *table, 1000, Row("tail")).ok());
-    ASSERT_TRUE((*sm)->Commit(txn2).ok());
+    ASSERT_TRUE(s->Begin().ok());
+    ASSERT_TRUE(s->Insert(*table, 1000, Row("tail")).ok());
+    ASSERT_TRUE(s->Commit().ok());
     (*sm)->SimulateCrash();
   }
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto table = (*sm)->OpenTable("t");
+  auto check = (*sm)->OpenSession();
+  auto table = check->OpenTable("t");
   ASSERT_TRUE(table.ok());
-  auto* check = (*sm)->Begin();
-  EXPECT_TRUE((*sm)->Read(check, *table, 50).ok());
-  EXPECT_TRUE((*sm)->Read(check, *table, 1000).ok());
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(check->Begin().ok());
+  EXPECT_TRUE(check->Read(*table, 50).ok());
+  EXPECT_TRUE(check->Read(*table, 1000).ok());
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 TEST(StorageManagerTest, BlockingCheckpointVariantAlsoRecovers) {
@@ -321,21 +334,23 @@ TEST(StorageManagerTest, BlockingCheckpointVariantAlsoRecovers) {
   {
     auto sm = d.Open(opts);
     ASSERT_TRUE(sm.ok());
-    auto* txn = (*sm)->Begin();
-    auto table = (*sm)->CreateTable(txn, "t");
+    auto s = (*sm)->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE((*sm)->Insert(txn, *table, 1, Row("v")).ok());
-    ASSERT_TRUE((*sm)->Commit(txn).ok());
+    ASSERT_TRUE(s->Insert(*table, 1, Row("v")).ok());
+    ASSERT_TRUE(s->Commit().ok());
     ASSERT_TRUE((*sm)->Checkpoint().ok());
     (*sm)->SimulateCrash();
   }
   auto sm = d.Open(opts);
   ASSERT_TRUE(sm.ok());
-  auto table = (*sm)->OpenTable("t");
+  auto check = (*sm)->OpenSession();
+  auto table = check->OpenTable("t");
   ASSERT_TRUE(table.ok());
-  auto* check = (*sm)->Begin();
-  EXPECT_TRUE((*sm)->Read(check, *table, 1).ok());
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(check->Begin().ok());
+  EXPECT_TRUE(check->Read(*table, 1).ok());
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 TEST(StorageManagerTest, ConcurrentPrivateTables) {
@@ -347,43 +362,42 @@ TEST(StorageManagerTest, ConcurrentPrivateTables) {
   constexpr int kClients = 4;
   constexpr uint64_t kRows = 300;
   std::vector<TableInfo> tables(kClients);
+  auto setup = (*sm)->OpenSession();
   for (int c = 0; c < kClients; ++c) {
-    auto* txn = (*sm)->Begin();
-    auto t = (*sm)->CreateTable(txn, "client" + std::to_string(c));
+    ASSERT_TRUE(setup->Begin().ok());
+    auto t = setup->CreateTable("client" + std::to_string(c));
     ASSERT_TRUE(t.ok());
     tables[c] = *t;
-    ASSERT_TRUE((*sm)->Commit(txn).ok());
+    ASSERT_TRUE(setup->Commit().ok());
   }
   std::vector<std::thread> workers;
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
     workers.emplace_back([&, c] {
-      auto* txn = (*sm)->Begin();
+      auto s = (*sm)->OpenSession();
+      if (!s->Begin().ok()) failures.fetch_add(1);
       for (uint64_t k = 0; k < kRows; ++k) {
-        if (!(*sm)->Insert(txn, tables[c], k, Row("r")).ok()) {
-          failures.fetch_add(1);
-        }
+        if (!s->Insert(tables[c], k, Row("r")).ok()) failures.fetch_add(1);
         if ((k + 1) % 100 == 0) {
-          if (!(*sm)->Commit(txn).ok()) failures.fetch_add(1);
-          txn = (*sm)->Begin();
+          if (!s->Commit().ok()) failures.fetch_add(1);
+          if (!s->Begin().ok()) failures.fetch_add(1);
         }
       }
-      if (!(*sm)->Commit(txn).ok()) failures.fetch_add(1);
+      if (!s->Commit().ok()) failures.fetch_add(1);
     });
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(failures.load(), 0);
-  auto* check = (*sm)->Begin();
+  ASSERT_TRUE(setup->Begin().ok());
   for (int c = 0; c < kClients; ++c) {
     uint64_t seen = 0;
-    ASSERT_TRUE((*sm)->Scan(check, tables[c], 0, UINT64_MAX,
-                            [&](uint64_t, std::span<const uint8_t>) {
-                              ++seen;
-                              return true;
-                            }).ok());
+    Cursor cur = setup->OpenCursor(tables[c]);
+    Status st;
+    for (st = cur.Seek(0); st.ok() && cur.Valid(); st = cur.Next()) ++seen;
+    ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(seen, kRows) << "client " << c;
   }
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(setup->Commit().ok());
 }
 
 class StagePresetTest : public ::testing::TestWithParam<Stage> {};
@@ -394,23 +408,23 @@ TEST_P(StagePresetTest, FullWorkloadIsCorrectAtEveryStage) {
   Durable d;
   auto sm = d.Open(StorageOptions::ForStage(GetParam()));
   ASSERT_TRUE(sm.ok());
-  auto* txn = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(txn, "t");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
   for (uint64_t k = 0; k < 150; ++k) {
-    ASSERT_TRUE(
-        (*sm)->Insert(txn, *table, k, Row("v" + std::to_string(k))).ok());
+    ASSERT_TRUE(s->Insert(*table, k, Row("v" + std::to_string(k))).ok());
   }
-  ASSERT_TRUE((*sm)->Commit(txn).ok());
+  ASSERT_TRUE(s->Commit().ok());
 
-  auto* loser = (*sm)->Begin();
-  ASSERT_TRUE((*sm)->Update(loser, *table, 3, Row("bad")).ok());
-  ASSERT_TRUE((*sm)->Abort(loser).ok());
+  ASSERT_TRUE(s->Begin().ok());
+  ASSERT_TRUE(s->Update(*table, 3, Row("bad")).ok());
+  ASSERT_TRUE(s->Abort().ok());
 
-  auto* check = (*sm)->Begin();
-  EXPECT_EQ(AsString(*(*sm)->Read(check, *table, 3)), "v3");
-  EXPECT_EQ(AsString(*(*sm)->Read(check, *table, 149)), "v149");
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(s->Begin().ok());
+  EXPECT_EQ(AsString(*s->Read(*table, 3)), "v3");
+  EXPECT_EQ(AsString(*s->Read(*table, 149)), "v149");
+  ASSERT_TRUE(s->Commit().ok());
 }
 
 TEST_P(StagePresetTest, RecoversAfterCrash) {
@@ -418,20 +432,22 @@ TEST_P(StagePresetTest, RecoversAfterCrash) {
   {
     auto sm = d.Open(StorageOptions::ForStage(GetParam()));
     ASSERT_TRUE(sm.ok());
-    auto* txn = (*sm)->Begin();
-    auto table = (*sm)->CreateTable(txn, "t");
+    auto s = (*sm)->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE((*sm)->Insert(txn, *table, 42, Row("answer")).ok());
-    ASSERT_TRUE((*sm)->Commit(txn).ok());
+    ASSERT_TRUE(s->Insert(*table, 42, Row("answer")).ok());
+    ASSERT_TRUE(s->Commit().ok());
     (*sm)->SimulateCrash();
   }
   auto sm = d.Open(StorageOptions::ForStage(GetParam()));
   ASSERT_TRUE(sm.ok());
-  auto table = (*sm)->OpenTable("t");
+  auto check = (*sm)->OpenSession();
+  auto table = check->OpenTable("t");
   ASSERT_TRUE(table.ok());
-  auto* check = (*sm)->Begin();
-  EXPECT_EQ(AsString(*(*sm)->Read(check, *table, 42)), "answer");
-  ASSERT_TRUE((*sm)->Commit(check).ok());
+  ASSERT_TRUE(check->Begin().ok());
+  EXPECT_EQ(AsString(*check->Read(*table, 42)), "answer");
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStages, StagePresetTest,
@@ -448,13 +464,14 @@ TEST(StorageManagerTest, LargeRowsRejected) {
   Durable d;
   auto sm = d.Open();
   ASSERT_TRUE(sm.ok());
-  auto* txn = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(txn, "t");
+  auto s = (*sm)->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto table = s->CreateTable("t");
   ASSERT_TRUE(table.ok());
   std::vector<uint8_t> huge(kPageSize, 0);
-  EXPECT_EQ((*sm)->Insert(txn, *table, 1, huge).status().code(),
+  EXPECT_EQ(s->Insert(*table, 1, huge).status().code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE((*sm)->Abort(txn).ok());
+  ASSERT_TRUE(s->Abort().ok());
 }
 
 TEST(StorageManagerTest, RowConflictBetweenTxnsTimesOut) {
@@ -463,19 +480,21 @@ TEST(StorageManagerTest, RowConflictBetweenTxnsTimesOut) {
   opts.lock.timeout_us = 30'000;
   auto sm = d.Open(opts);
   ASSERT_TRUE(sm.ok());
-  auto* t1 = (*sm)->Begin();
-  auto table = (*sm)->CreateTable(t1, "t");
+  auto writer = (*sm)->OpenSession();
+  ASSERT_TRUE(writer->Begin().ok());
+  auto table = writer->CreateTable("t");
   ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*sm)->Insert(t1, *table, 1, Row("v")).ok());
-  ASSERT_TRUE((*sm)->Commit(t1).ok());
+  ASSERT_TRUE(writer->Insert(*table, 1, Row("v")).ok());
+  ASSERT_TRUE(writer->Commit().ok());
 
-  auto* writer = (*sm)->Begin();
-  ASSERT_TRUE((*sm)->Update(writer, *table, 1, Row("w")).ok());
-  auto* reader = (*sm)->Begin();
-  EXPECT_TRUE((*sm)->Read(reader, *table, 1).status().IsDeadlock())
+  ASSERT_TRUE(writer->Begin().ok());
+  ASSERT_TRUE(writer->Update(*table, 1, Row("w")).ok());
+  auto reader = (*sm)->OpenSession();
+  ASSERT_TRUE(reader->Begin().ok());
+  EXPECT_TRUE(reader->Read(*table, 1).status().IsDeadlock())
       << "reader must time out against the writer's X lock";
-  ASSERT_TRUE((*sm)->Abort(reader).ok());
-  ASSERT_TRUE((*sm)->Commit(writer).ok());
+  ASSERT_TRUE(reader->Abort().ok());
+  ASSERT_TRUE(writer->Commit().ok());
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(InsertBenchTest, InsertsLandInPrivateTables) {
   ASSERT_TRUE(h.session->Commit().ok());
 }
 
-TEST(InsertBenchTest, SessionStatsAccountForBatchedInserts) {
+TEST(InsertBenchTest, RegistryAccountsForBatchedInserts) {
   Harness h;
   InsertBenchConfig cfg;
   cfg.clients = 2;
@@ -95,13 +95,12 @@ TEST(InsertBenchTest, SessionStatsAccountForBatchedInserts) {
   ASSERT_TRUE(state.ok());
   auto r = RunInsertBench(cfg, &*state);
   ASSERT_GT(r.txns, 0u);
-  // Harvest all bench sessions; the aggregate must cover every committed
-  // batch (warmup batches also count — hence GE) and carry log bytes.
-  for (auto& s : state->sessions) s->Harvest();
-  sm::SessionStats agg = h.sm->harvested_session_stats();
-  EXPECT_GE(agg.batches, r.txns);
-  EXPECT_GE(agg.inserts, r.txns * cfg.records_per_commit);
-  EXPECT_GT(agg.log_bytes, 0u);
+  // The live registry must cover every committed batch (warmup batches
+  // and the setup commits also count — hence GE) and carry log bytes.
+  obs::MetricsSnapshot agg = h.sm->metrics()->Snapshot();
+  EXPECT_GE(agg[obs::Metric::kTxnCommits], r.txns);
+  EXPECT_GE(agg[obs::Metric::kInserts], r.txns * cfg.records_per_commit);
+  EXPECT_GT(agg[obs::Metric::kLogBytes], 0u);
 }
 
 class TpccTest : public ::testing::Test {
@@ -168,9 +167,7 @@ TEST_F(TpccTest, IntentLocksServedFromPrivateCache) {
     committed += RunNewOrder(h_.session.get(), &db_, 1) ? 1 : 0;
   }
   ASSERT_GT(committed, 0);
-  h_.session->Harvest();
-  sm::SessionStats agg = h_.sm->harvested_session_stats();
-  EXPECT_GT(agg.lock_cache_hits, 0u)
+  EXPECT_GT(h_.sm->metrics()->Snapshot()[obs::Metric::kLockCacheHits], 0u)
       << "intention re-grants must be served from the private cache";
 }
 

@@ -74,24 +74,24 @@ TEST(YcsbTest, MixRatiosHonoredWithinTolerance) {
   cfg.field_size = 16;
   YcsbFixture f(cfg);
   auto session = f.db->OpenSession();
-  sm::SessionStats after_load = session->stats();
+  auto count = [&](obs::Metric m) { return session->counters()->Value(m); };
   YcsbWorker worker(&f.ycsb, /*seed=*/42);
   const int kTxns = 4'000;
   // Workload A: 50% read / 50% update.
   for (int i = 0; i < kTxns; ++i) {
     ASSERT_TRUE(RunYcsbTxn(session.get(), &worker, YcsbWorkload::kA));
   }
-  sm::SessionStats a = session->stats();
-  double read_frac = static_cast<double>(a.reads - after_load.reads) / kTxns;
+  const uint64_t a_reads = count(obs::Metric::kReads);
+  const uint64_t a_inserts = count(obs::Metric::kInserts);
+  double read_frac = static_cast<double>(a_reads) / kTxns;
   EXPECT_NEAR(read_frac, 0.50, 0.05);
   // Workload B: 95% read / 5% update on top.
   for (int i = 0; i < kTxns; ++i) {
     ASSERT_TRUE(RunYcsbTxn(session.get(), &worker, YcsbWorkload::kB));
   }
-  sm::SessionStats b = session->stats();
-  read_frac = static_cast<double>(b.reads - a.reads) / kTxns;
+  read_frac = static_cast<double>(count(obs::Metric::kReads) - a_reads) / kTxns;
   EXPECT_NEAR(read_frac, 0.95, 0.03);
-  EXPECT_EQ(b.inserts, a.inserts);  // A and B never insert.
+  EXPECT_EQ(count(obs::Metric::kInserts), a_inserts);  // A and B never insert.
 }
 
 TEST(YcsbTest, ScanReturnsConsecutiveKeys) {
@@ -112,11 +112,11 @@ TEST(YcsbTest, ScanReturnsConsecutiveKeys) {
   ASSERT_TRUE(session->Commit().ok());
   // Workload E through the txn runner counts its rows in the session.
   YcsbWorker worker(&f.ycsb, /*seed=*/7);
-  sm::SessionStats before = session->stats();
+  const uint64_t before = session->counters()->Value(obs::Metric::kScanRows);
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(RunYcsbTxn(session.get(), &worker, YcsbWorkload::kE));
   }
-  EXPECT_GT(session->stats().cursor_rows, before.cursor_rows);
+  EXPECT_GT(session->counters()->Value(obs::Metric::kScanRows), before);
 }
 
 TEST(YcsbTest, RmwCountersPersistAndMatchMetric) {
