@@ -80,21 +80,15 @@ BufferPool::BufferPool(io::Volume* volume, BufferPoolOptions options,
   sync::SyncStatsRegistry::Instance().Register(&clock_stats_);
   for (uint32_t i = 0; i < options.frame_count; ++i) free_frames_.Push(i);
   if (options_.enable_cleaner) {
-    // The background cleaners: woken by the interval tick, by MarkDirty's
+    // The background cleaner: woken by the interval tick, by MarkDirty's
     // dirty-ratio trigger, or by WakeCleaner() (log-segment pressure
     // from the flush pipeline); each wake-up runs one incremental pass
-    // over the oldest dirty pages of the daemon's page-id partition —
-    // never a busy-wait, never a pool-wide stall.
-    size_t n = std::max<size_t>(1, options_.cleaner_threads);
-    cleaner_daemons_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      auto d = std::make_unique<sync::PeriodicDaemon>();
-      d->Start(std::chrono::microseconds(options_.cleaner_interval_us),
-               [this, i, n] {
-                 (void)CleanerPassImpl(options_.cleaner_batch, i, n);
-               });
-      cleaner_daemons_.push_back(std::move(d));
-    }
+    // over the oldest dirty pages — never a busy-wait, never a pool-wide
+    // stall.
+    cleaner_daemon_ = std::make_unique<sync::PeriodicDaemon>();
+    cleaner_daemon_->Start(
+        std::chrono::microseconds(options_.cleaner_interval_us),
+        [this] { (void)CleanerPass(options_.cleaner_batch); });
   }
   if (options_.enable_scrubber) {
     scrub_daemon_ = std::make_unique<sync::PeriodicDaemon>();
@@ -106,7 +100,7 @@ BufferPool::BufferPool(io::Volume* volume, BufferPoolOptions options,
 
 BufferPool::~BufferPool() {
   if (scrub_daemon_) scrub_daemon_->Stop();
-  for (auto& d : cleaner_daemons_) d->Stop();
+  if (cleaner_daemon_) cleaner_daemon_->Stop();
   // io_ (and its workers, which may still be completing prefetch reads
   // into the arena) is torn down by member destruction, before the arena
   // and frame structures it touches.
@@ -163,15 +157,12 @@ Status BufferPool::TakePrefetchError(PageNum page) {
 }
 
 void BufferPool::WakeCleaner() {
-  for (auto& d : cleaner_daemons_) d->Wake();
+  if (cleaner_daemon_) cleaner_daemon_->Wake();
 }
 
 void BufferPool::NoteFirstDirty(PageNum page, uint64_t rec_lsn) {
   size_t dirty = dpt_.Insert(page, rec_lsn);
-  if (options_.enable_cleaner &&
-      static_cast<double>(dirty) >
-          options_.cleaner_dirty_ratio *
-              static_cast<double>(frames_.size())) {
+  if (options_.enable_cleaner && dirty > frames_.size() / 4) {
     WakeCleaner();
   }
 }
@@ -563,11 +554,6 @@ Lsn BufferPool::ScanMinRecLsn() const {
 }
 
 Status BufferPool::CleanerPass(size_t max_pages) {
-  return CleanerPassImpl(max_pages, 0, 1);
-}
-
-Status BufferPool::CleanerPassImpl(size_t max_pages, size_t partition,
-                                   size_t partitions) {
   stats_.cleaner_sweeps.fetch_add(1, std::memory_order_relaxed);
   // Copy the owner-wired hooks under the cleaner mutex: they are set
   // after construction, possibly while the daemon is already running.
@@ -599,7 +585,6 @@ Status BufferPool::CleanerPassImpl(size_t max_pages, size_t partition,
   };
   std::vector<Gathered> batch;
   for (PageNum page : dpt_.OldestPages(max_pages)) {
-    if (partitions > 1 && page % partitions != partition) continue;
     // Pin through the locked path so eviction cannot race us.
     int frame = table_->FindAndPin(page, [&](int fr) {
       frames_[fr].pins.fetch_add(1, std::memory_order_acquire);

@@ -44,22 +44,15 @@ struct BufferPoolOptions {
   /// Background page cleaner (asynchronous dirty write-back, §2.2.1): a
   /// cv-driven daemon that incrementally writes back the OLDEST dirty
   /// pages (by rec_lsn, from the dirty-page table) so the redo low-water
-  /// mark keeps advancing. Woken by its interval, by the dirty-ratio
-  /// trigger, and by WakeCleaner() (log-segment pressure).
+  /// mark keeps advancing. Woken by its interval, by MarkDirty once more
+  /// than a quarter of the frames are dirty, and by WakeCleaner()
+  /// (log-segment pressure).
   bool enable_cleaner = false;
   uint64_t cleaner_interval_us = 2000;
   /// Dirty frames written back per cleaner pass (0 = all — a full sweep).
   /// Incremental batches keep each pass short so a wake-up never stalls
   /// the pool behind one long write storm.
   size_t cleaner_batch = 64;
-  /// Back-pressure trigger: MarkDirty wakes the cleaner once dirty pages
-  /// exceed this fraction of the pool (only with enable_cleaner).
-  double cleaner_dirty_ratio = 0.25;
-  /// Cleaner daemons (page-id partitioned: daemon i owns pages with
-  /// page % cleaner_threads == i, so two daemons never contend for the
-  /// same dirty page). Each daemon submits its batch through its own
-  /// I/O ring as coalesced vectored write-backs.
-  size_t cleaner_threads = 1;
   /// Max detached prefetch reads in flight pool-wide; PrefetchPages drops
   /// (never blocks) beyond this. 0 disables prefetching.
   size_t prefetch_window = 64;
@@ -274,7 +267,7 @@ class BufferPool {
   /// on every wake-up; tests and checkpoint cold starts call it directly.
   Status CleanerPass(size_t max_pages);
 
-  /// Wakes the background cleaner daemons immediately (no-op without any).
+  /// Wakes the background cleaner daemon immediately (no-op without one).
   /// Called on log-segment pressure by the flush pipeline's hook and by
   /// the dirty-ratio trigger — a cv notify, never a busy-wait.
   void WakeCleaner();
@@ -343,12 +336,6 @@ class BufferPool {
   Result<int> AllocateFrame();
   /// Writes frame's dirty image to the volume (log flushed first).
   Status WriteBack(int frame, PageNum page);
-  /// One cleaner round over `partition` of `partitions` (page-id modulo):
-  /// gathers the oldest dirty pages non-blockingly, WAL-flushes once to
-  /// the batch's max page LSN, then submits the batch as coalesced
-  /// vectored writes through an I/O ring and harvests completions.
-  Status CleanerPassImpl(size_t max_pages, size_t partition,
-                         size_t partitions);
   /// Prefetch completion (runs on the I/O worker): publishes the frame's
   /// mapping on success, recycles the frame otherwise, clears the
   /// in-transit entry last.
@@ -414,9 +401,9 @@ class BufferPool {
   /// arena, so its destructor — which executes everything still queued and
   /// joins the workers — runs while all of them are alive.
   std::unique_ptr<io::IoScheduler> io_;
-  /// Background cleaners (shared cv-daemon scaffold): interval tick +
-  /// WakeCleaner kicks, one incremental partitioned pass per wake-up.
-  std::vector<std::unique_ptr<sync::PeriodicDaemon>> cleaner_daemons_;
+  /// Background cleaner (shared cv-daemon scaffold): interval tick +
+  /// WakeCleaner kicks, one incremental pass per wake-up.
+  std::unique_ptr<sync::PeriodicDaemon> cleaner_daemon_;
   /// Background checksum scrubber; declared after io_ like the cleaners
   /// (stopped in the destructor before any member teardown).
   std::unique_ptr<sync::PeriodicDaemon> scrub_daemon_;

@@ -59,7 +59,6 @@ struct LockOptions {
   /// store-level lock (escalation lives in the lock layer now — the
   /// handle carries the per-store counters).
   uint32_t escalation_threshold = 1000;
-  bool enable_escalation = true;
 };
 
 struct LockStats {

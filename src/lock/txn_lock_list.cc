@@ -54,9 +54,7 @@ Status TxnLockList::LockRecord(StoreId store, RecordId rid, LockMode mode) {
     }
     return LockStore(store, store_mode);  // Upgrade; may wait or deadlock.
   }
-  const LockOptions& opts = mgr_->options();
-  if (opts.enable_escalation &&
-      row_counts_[store] >= opts.escalation_threshold) {
+  if (row_counts_[store] >= mgr_->options().escalation_threshold) {
     Status st = LockStore(store, store_mode);
     if (st.ok()) {
       escalated_.insert(store);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/crc32c.h"
+#include "log/log_storage.h"
 
 namespace shoremt::log {
 
@@ -20,19 +21,14 @@ Result<LogArchive> LogArchive::Open(const std::string& dir) {
     unsigned long long base, length, capacity;
     unsigned long crc;
     char file[1024];
-    ArchivedSegment seg;
     if (std::sscanf(line, "v2 %llu %llu %llu %lu %1023s", &base, &length,
-                    &capacity, &crc, file) == 5) {
-      seg.crc = static_cast<uint32_t>(crc);
-      seg.has_crc = true;
-    } else if (std::sscanf(line, "v1 %llu %llu %llu %1023s", &base, &length,
-                           &capacity, file) == 4) {
-      seg.has_crc = false;
-    } else {
+                    &capacity, &crc, file) != 5) {
       std::fclose(f);
       return Status::Corruption("malformed archive MANIFEST line: " +
                                 std::string(line));
     }
+    ArchivedSegment seg;
+    seg.crc = static_cast<uint32_t>(crc);
     seg.base = base;
     seg.length = length;
     seg.capacity = capacity;
@@ -84,37 +80,53 @@ Status LogArchive::Read(uint64_t offset, size_t len,
     if (f == nullptr) {
       return Status::IOError("cannot open archived segment " + path);
     }
-    bool ok;
-    size_t old = out->size();
-    if (seg->has_crc) {
-      // Verify the WHOLE file against the manifest CRC before serving any
-      // byte of it: archives are cold restore/repair sources, so the full
-      // read is cheap insurance against rot in the untouched remainder.
-      whole.resize(seg->length);
-      ok = std::fread(whole.data(), 1, seg->length, f) == seg->length;
-      std::fclose(f);
-      if (!ok) {
-        return Status::IOError("short read from archived segment " + path);
-      }
-      uint32_t computed = Crc32c(whole.data(), whole.size());
-      if (computed != seg->crc) {
-        return Status::Corruption(
-            "archived segment " + seg->file + " CRC mismatch (stored " +
-            std::to_string(seg->crc) + ", computed " +
-            std::to_string(computed) + ")");
-      }
-      out->insert(out->end(), whole.begin() + in_seg,
-                  whole.begin() + in_seg + want);
-    } else {
-      out->resize(old + want);
-      ok = std::fseek(f, static_cast<long>(in_seg), SEEK_SET) == 0 &&
-           std::fread(out->data() + old, 1, want, f) == want;
-      std::fclose(f);
-      if (!ok) {
-        return Status::IOError("short read from archived segment " + path);
-      }
+    // Verify the WHOLE file against the manifest CRC before serving any
+    // byte of it: archives are cold restore/repair sources, so the full
+    // read is cheap insurance against rot in the untouched remainder.
+    whole.resize(seg->length);
+    bool ok = std::fread(whole.data(), 1, seg->length, f) == seg->length;
+    std::fclose(f);
+    if (!ok) {
+      return Status::IOError("short read from archived segment " + path);
     }
+    uint32_t computed = Crc32c(whole.data(), whole.size());
+    if (computed != seg->crc) {
+      return Status::Corruption(
+          "archived segment " + seg->file + " CRC mismatch (stored " +
+          std::to_string(seg->crc) + ", computed " +
+          std::to_string(computed) + ")");
+    }
+    out->insert(out->end(), whole.begin() + in_seg,
+                whole.begin() + in_seg + want);
     pos += want;
+  }
+  return Status::Ok();
+}
+
+Status ReadHistory(const std::string& dir, const LogStorage* live,
+                   std::vector<uint8_t>* out, size_t* segment_bytes) {
+  out->clear();
+  LogArchive archive;
+  if (!dir.empty()) {
+    SHOREMT_ASSIGN_OR_RETURN(archive, LogArchive::Open(dir));
+  }
+  if (archive.base_offset() != 0) {
+    return Status::Corruption("archive starts at offset " +
+                              std::to_string(archive.base_offset()) +
+                              ", log prefix was recycled unarchived");
+  }
+  if (segment_bytes != nullptr) {
+    *segment_bytes = !archive.empty() ? archive.segments().front().capacity
+                     : live != nullptr ? live->segment_bytes()
+                                       : 0;
+  }
+  if (!archive.empty()) {
+    SHOREMT_RETURN_NOT_OK(archive.Read(0, archive.end_offset(), out));
+  }
+  if (live != nullptr && live->size() > archive.end_offset()) {
+    std::vector<uint8_t> tail;
+    SHOREMT_RETURN_NOT_OK(live->ReadFrom(archive.end_offset(), &tail));
+    out->insert(out->end(), tail.begin(), tail.end());
   }
   return Status::Ok();
 }

@@ -14,7 +14,6 @@ LogManager::LogManager(LogStorage* storage, LogOptions options)
   }
   if (!options_.archive_dir.empty()) {
     storage_->set_archive_dir(options_.archive_dir);
-    storage_->set_archive_direct_io(options_.direct_io);
   }
   // Assigned in the body so stats_ is fully constructed before the buffer
   // (which publishes consolidation counters into it) exists; same for the
@@ -109,10 +108,11 @@ Result<LogRecord> LogManager::ReadRecord(Lsn lsn) const {
   if (offset + 4 > durable) {
     return Status::Corruption("log read beyond durable end");
   }
-  // One storage read covers the whole record in the common case; the
-  // length prefix is validated against the record format and the durable
-  // size before it is trusted, so a torn or garbage prefix surfaces as
-  // Corruption instead of a bogus (or gigantic) read.
+  // One storage read covers the whole record in the common case; a rare
+  // oversized record takes one more exact read, sized from its prefix
+  // only when the prefix stays inside the durable log. The reader then
+  // judges the bytes, so a garbage prefix surfaces as Corruption instead
+  // of a bogus (or gigantic) read.
   constexpr size_t kReadAhead = 4096;
   std::vector<uint8_t> bytes;
   SHOREMT_RETURN_NOT_OK(storage_->Read(
@@ -121,22 +121,20 @@ Result<LogRecord> LogManager::ReadRecord(Lsn lsn) const {
       &bytes));
   uint32_t total_len;
   std::memcpy(&total_len, bytes.data(), 4);
-  if (total_len < kLogRecordHeaderSize + kLogRecordCrcSize ||
-      offset + total_len > durable) {
-    return Status::Corruption("bad log record length prefix");
-  }
-  if (total_len > bytes.size()) {
-    // Rare oversized record: one more exact read.
+  if (total_len > bytes.size() && offset + total_len <= durable) {
     SHOREMT_RETURN_NOT_OK(storage_->Read(offset, total_len, &bytes));
   }
+  RecordReader reader(bytes, offset);
   LogRecord rec;
-  size_t consumed;
-  Status st = DeserializeLogRecord(bytes, &rec, &consumed);
-  if (!st.ok()) {
-    return Status::Corruption(st.message() + " at LSN " +
-                              std::to_string(lsn.value));
+  Lsn end;
+  SHOREMT_ASSIGN_OR_RETURN(bool whole, reader.Next(&rec, &end));
+  if (!whole) {
+    // Below the durable end every record is whole: a record running past
+    // it is a damaged length prefix, not a torn tail.
+    return Status::Corruption("log record at LSN " +
+                              std::to_string(lsn.value) +
+                              " runs past the durable end");
   }
-  rec.lsn = lsn;
   return rec;
 }
 
@@ -150,38 +148,17 @@ Status LogManager::Scan(
   offset = std::max(offset, storage_->reclaim_horizon().value - 1);
   std::vector<uint8_t> live;
   SHOREMT_RETURN_NOT_OK(storage_->ReadFrom(offset, &live));
-  size_t pos = 0;
-  while (pos + 4 <= live.size()) {
-    uint32_t total_len;
-    std::memcpy(&total_len, live.data() + pos, 4);
-    if (total_len < kLogRecordHeaderSize + kLogRecordCrcSize) {
-      // A durable length prefix can never be this small: bytes below the
-      // durable end were written whole, so this is media damage, not a
-      // torn tail.
-      return Status::Corruption("bad log record length prefix at LSN " +
-                                std::to_string(offset + pos + 1));
-    }
-    if (pos + total_len > live.size()) {
-      // Torn tail: the record extends past the durable bytes — its append
-      // never completed, so the scan (and the log) ends here.
-      return Status::Ok();
-    }
-    LogRecord rec;
-    size_t consumed;
-    std::span<const uint8_t> rest(live.data() + pos, live.size() - pos);
-    Status st = DeserializeLogRecord(rest, &rec, &consumed);
-    if (!st.ok()) {
-      // Fully contained but failing its CRC / format check: surface it.
-      // Unlike a torn tail, these bytes WERE durably written and are now
-      // wrong — ending the scan silently would drop committed work.
-      return Status::Corruption(st.message() + " at LSN " +
-                                std::to_string(offset + pos + 1));
-    }
-    rec.lsn = Lsn{offset + pos + 1};
-    SHOREMT_RETURN_NOT_OK(fn(rec, Lsn{offset + pos + consumed + 1}));
-    pos += consumed;
+  // A torn tail (an append that never completed) ends the scan, and the
+  // log, cleanly; damage below it is Corruption — ending silently there
+  // would drop committed work.
+  RecordReader reader(live, offset);
+  LogRecord rec;
+  Lsn end;
+  while (true) {
+    SHOREMT_ASSIGN_OR_RETURN(bool more, reader.Next(&rec, &end));
+    if (!more) return Status::Ok();
+    SHOREMT_RETURN_NOT_OK(fn(rec, end));
   }
-  return Status::Ok();
 }
 
 }  // namespace shoremt::log

@@ -50,11 +50,6 @@ struct LogOptions {
   /// point-in-time restore (repl::RestoreToLsn) and lets a log shipper
   /// serve ranges the primary already recycled. Empty (default) = off.
   std::string archive_dir;
-  /// With an archive_dir: write archived segment files with O_DIRECT
-  /// (write-once cold data that should not churn the page cache), with a
-  /// graceful per-file fallback to buffered I/O where the filesystem
-  /// rejects O_DIRECT. Mirrors io::VolumeOptions::direct_io for data.
-  bool direct_io = false;
   /// Worker threads in the flush pipeline's OnDurable callback executor
   /// (1 preserves ascending-LSN dispatch order; more trades order for
   /// callback parallelism).

@@ -1,6 +1,7 @@
 #include "log/log_record.h"
 
 #include <cstring>
+#include <string>
 
 #include "common/crc32c.h"
 
@@ -91,6 +92,29 @@ Status DeserializeLogRecord(std::span<const uint8_t> data, LogRecord* rec,
   rec->after.assign(data.begin() + off, data.begin() + off + after_len);
   *consumed = total_len;
   return Status::Ok();
+}
+
+Result<bool> RecordReader::Next(LogRecord* rec, Lsn* end) {
+  std::span<const uint8_t> rest = bytes_.subspan(pos_);
+  uint32_t total_len;
+  if (rest.size() < sizeof(total_len)) return false;
+  std::memcpy(&total_len, rest.data(), sizeof(total_len));
+  Lsn lsn{offset() + 1};
+  if (total_len < kHeaderSize + kLogRecordCrcSize) {
+    return Status::Corruption("bad log record length prefix at LSN " +
+                              std::to_string(lsn.value));
+  }
+  if (total_len > rest.size()) return false;
+  size_t consumed;
+  Status st = DeserializeLogRecord(rest, rec, &consumed);
+  if (!st.ok()) {
+    return Status::Corruption(st.message() + " at LSN " +
+                              std::to_string(lsn.value));
+  }
+  rec->lsn = lsn;
+  pos_ += consumed;
+  *end = Lsn{offset() + 1};
+  return true;
 }
 
 void SerializeCheckpoint(const CheckpointBody& body,

@@ -37,8 +37,9 @@ enum class LogRecordType : uint8_t {
 ///   u32 total_len | u8 type | u8 page_type | u16 slot
 ///   u64 txn | u64 prev_lsn | u64 undo_next | u64 page
 ///   u32 store | u32 before_len | u32 after_len
-/// No valid record is smaller, which makes it the lower bound readers use
-/// to validate a length prefix before trusting it.
+/// No valid record is smaller (with the CRC below), which makes it the
+/// lower bound RecordReader uses to validate a length prefix before
+/// trusting it.
 inline constexpr size_t kLogRecordHeaderSize =
     4 + 1 + 1 + 2 + 8 + 8 + 8 + 8 + 4 + 4 + 4;
 
@@ -77,6 +78,35 @@ void SerializeLogRecord(const LogRecord& rec, std::vector<uint8_t>* out);
 /// lsn) and sets `consumed` to the record's total length.
 Status DeserializeLogRecord(std::span<const uint8_t> data, LogRecord* rec,
                             size_t* consumed);
+
+/// Walks a slice of the log record by record. Every reader of log bytes
+/// (restart's scan, point reads, media repair, point-in-time restore and
+/// the replica's parser) goes through it, so they share one framing rule:
+///  - a length prefix smaller than header + CRC is Corruption: bytes below
+///    the durable end were written whole, so this is media damage;
+///  - a record that reaches past the slice is a torn tail: Next returns
+///    false and offset() stays at the record's start;
+///  - a contained record that fails DeserializeLogRecord (CRC or format)
+///    is Corruption — those bytes were durably written and are now wrong.
+/// Both Corruption messages name the record's LSN.
+class RecordReader {
+ public:
+  /// `base` is the absolute log offset of bytes[0] (its LSN is base + 1).
+  RecordReader(std::span<const uint8_t> bytes, uint64_t base)
+      : bytes_(bytes), base_(base) {}
+
+  /// Parses the next record into `rec` (lsn included) and sets `end` to
+  /// the LSN just past it. False at the end of the slice or a torn tail.
+  Result<bool> Next(LogRecord* rec, Lsn* end);
+
+  /// Absolute offset of the next unread byte.
+  uint64_t offset() const { return base_ + pos_; }
+
+ private:
+  std::span<const uint8_t> bytes_;
+  uint64_t base_;
+  size_t pos_ = 0;
+};
 
 /// One active transaction captured by a fuzzy checkpoint.
 struct CheckpointTxn {

@@ -1,12 +1,8 @@
 #include "log/log_storage.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -16,56 +12,6 @@
 #include "log/log_stats.h"
 
 namespace shoremt::log {
-
-namespace {
-/// O_DIRECT alignment for archive segment files (logical-block bound).
-constexpr size_t kArchiveAlign = 4096;
-}  // namespace
-
-/// Direct-I/O segment write: O_DIRECT file, one aligned bounce buffer
-/// padded to the block size, then ftruncate down to the exact byte
-/// length (the manifest records it; restore reads by length). Returns
-/// false when the path is unusable (open rejected O_DIRECT, allocation
-/// failed) so the caller falls back to buffered stdio; `*ok` is the
-/// write outcome when the path WAS usable.
-bool LogStorage::WriteSegmentDirect(const std::string& path,
-                                    const Segment& seg, bool* ok) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_DIRECT,
-                  0644);
-  if (fd < 0) return false;  // EINVAL on tmpfs etc.: buffered fallback.
-  *ok = true;
-  if (!seg.bytes.empty()) {
-    size_t padded =
-        (seg.bytes.size() + kArchiveAlign - 1) / kArchiveAlign * kArchiveAlign;
-    uint8_t* buf = static_cast<uint8_t*>(
-        std::aligned_alloc(kArchiveAlign, padded));
-    if (buf == nullptr) {
-      ::close(fd);
-      ::unlink(path.c_str());
-      return false;
-    }
-    std::memcpy(buf, seg.bytes.data(), seg.bytes.size());
-    std::memset(buf + seg.bytes.size(), 0, padded - seg.bytes.size());
-    size_t done = 0;
-    while (done < padded) {
-      ssize_t put = ::pwrite(fd, buf + done, padded - done,
-                             static_cast<off_t>(done));
-      if (put <= 0) {
-        *ok = false;
-        break;
-      }
-      done += static_cast<size_t>(put);
-    }
-    std::free(buf);
-    // Trim the alignment padding so the file length equals the segment's
-    // byte length (what the manifest line promises).
-    if (*ok && ::ftruncate(fd, static_cast<off_t>(seg.bytes.size())) != 0) {
-      *ok = false;
-    }
-  }
-  if (::close(fd) != 0) *ok = false;
-  return true;
-}
 
 Status LogStorage::Append(std::span<const uint8_t> data) {
   std::span<const uint8_t> parts[1] = {data};
@@ -189,15 +135,6 @@ Status LogStorage::ReadFrom(uint64_t offset, std::vector<uint8_t>* out) const {
   return Status::Ok();
 }
 
-std::vector<uint8_t> LogStorage::Snapshot() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  std::vector<uint8_t> out;
-  for (const Segment& seg : segments_) {
-    out.insert(out.end(), seg.bytes.begin(), seg.bytes.end());
-  }
-  return out;
-}
-
 size_t LogStorage::Recycle(Lsn below) {
   if (below.IsNull()) return 0;
   std::lock_guard<std::mutex> guard(mutex_);
@@ -241,26 +178,19 @@ bool LogStorage::ArchiveSegmentLocked(const Segment& seg) {
   std::snprintf(name, sizeof(name), "seg-%020llu.log",
                 static_cast<unsigned long long>(seg.base));
   std::string path = archive_dir_ + "/" + name;
-  bool ok = false;
-  if (archive_direct_ && WriteSegmentDirect(path, seg, &ok)) {
-    // Direct path handled it (ok carries the outcome); on filesystems
-    // that reject O_DIRECT, WriteSegmentDirect returns false and the
-    // buffered path below runs instead.
-  } else {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return false;
-    ok = seg.bytes.empty() ||
-         std::fwrite(seg.bytes.data(), 1, seg.bytes.size(), f) ==
-             seg.bytes.size();
-    ok = std::fclose(f) == 0 && ok;
-  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  bool ok = seg.bytes.empty() ||
+            std::fwrite(seg.bytes.data(), 1, seg.bytes.size(), f) ==
+                seg.bytes.size();
+  ok = std::fclose(f) == 0 && ok;
   if (!ok) return false;
   std::string manifest = archive_dir_ + "/MANIFEST";
   std::FILE* m = std::fopen(manifest.c_str(), "ab");
   if (m == nullptr) return false;
-  // v2: the line carries the CRC32C of the segment's bytes, so a restore
-  // can prove an archived file still holds what was recycled out of the
-  // live log (v1 lines from older archives remain readable, unverified).
+  // The line carries the CRC32C of the segment's bytes, so a restore or
+  // repair can prove an archived file still holds what was recycled out
+  // of the live log.
   uint32_t crc = Crc32c(seg.bytes.data(), seg.bytes.size());
   ok = std::fprintf(m, "v2 %llu %llu %llu %lu %s\n",
                     static_cast<unsigned long long>(seg.base),
@@ -279,11 +209,6 @@ void LogStorage::set_archive_dir(std::string dir) {
 std::string LogStorage::archive_dir() const {
   std::lock_guard<std::mutex> guard(mutex_);
   return archive_dir_;
-}
-
-void LogStorage::set_archive_direct_io(bool on) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  archive_direct_ = on;
 }
 
 LogStorage::SegmentInfo LogStorage::SegmentInfoAt(uint64_t offset) const {

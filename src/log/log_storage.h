@@ -74,12 +74,6 @@ class LogStorage {
   /// Read.
   Status ReadFrom(uint64_t offset, std::vector<uint8_t>* out) const;
 
-  /// Snapshot of the live durable log. With no recycling this is the
-  /// entire byte stream from offset 0; after recycling it starts at the
-  /// first live segment (callers that index it by absolute offset must
-  /// not have recycled).
-  std::vector<uint8_t> Snapshot() const;
-
   // --- segment lifecycle ----------------------------------------------------
 
   /// Frees every segment that lies entirely below `below` (an LSN, i.e. a
@@ -100,20 +94,14 @@ class LogStorage {
 
   /// While set, Recycle writes each sealed segment into `dir` as
   /// `seg-<base>.log` and appends a line to `dir`/MANIFEST
-  /// (`v1 <base> <length> <capacity> <file>`, offsets in absolute log
-  /// bytes) BEFORE freeing it — the archive plus the live log is the
-  /// complete byte stream from offset 0, which is what point-in-time
-  /// restore replays. Empty (the default) keeps the PR 5 free-on-recycle
-  /// behavior. An archive write failure stops recycling at that segment
-  /// (bytes are never dropped unarchived).
+  /// (`v2 <base> <length> <capacity> <crc32c> <file>`, offsets in absolute
+  /// log bytes) BEFORE freeing it — the archive plus the live log is the
+  /// complete byte stream from offset 0 (log::ReadHistory), which is what
+  /// point-in-time restore and media repair replay. Empty (the default)
+  /// frees recycled segments outright. An archive write failure stops
+  /// recycling at that segment (bytes are never dropped unarchived).
   void set_archive_dir(std::string dir);
   std::string archive_dir() const;
-
-  /// While true (and an archive dir is set), Recycle writes segment files
-  /// with O_DIRECT — the archive traffic is write-once cold data that
-  /// should not evict warm page-cache entries. Falls back to buffered
-  /// stdio per file where the filesystem rejects O_DIRECT (tmpfs).
-  void set_archive_direct_io(bool on);
 
   /// Geometry of the live segment covering absolute byte `offset`:
   /// shipping needs to know where the covering segment starts, how big it
@@ -196,10 +184,6 @@ class LogStorage {
   /// mutex_. Returns false on any I/O failure (caller must keep the
   /// segment live).
   bool ArchiveSegmentLocked(const Segment& seg);
-  /// O_DIRECT segment-file write; returns false when the direct path is
-  /// unusable (caller falls back to buffered), else `*ok` = outcome.
-  bool WriteSegmentDirect(const std::string& path, const Segment& seg,
-                          bool* ok);
   /// Copies [offset, offset+len) out of the segment chain. Caller holds
   /// mutex_ and has validated the range.
   void CopyOutLocked(uint64_t offset, size_t len, uint8_t* out) const;
@@ -213,7 +197,6 @@ class LogStorage {
   std::deque<Segment> segments_;
   LogStats* attached_stats_ = nullptr;  ///< Guarded by mutex_.
   std::string archive_dir_;             ///< Guarded by mutex_; "" = off.
-  bool archive_direct_ = false;         ///< Guarded by mutex_.
   std::atomic<uint64_t> size_{0};
   /// Absolute offset below which bytes are reclaimable (recycled segments
   /// are gone; a straddling segment keeps its sub-horizon bytes readable).

@@ -24,12 +24,15 @@ struct RestoredInstance {
   std::unique_ptr<sm::StorageManager> sm;
 };
 
-/// Point-in-time restore: reconstructs the full log stream — archived
-/// segments first, then the live storage's surviving bytes — truncates it
-/// after the last record whose end LSN is <= `target`, and runs a full
-/// restart (OpenMode::kRestore: redo from LSN 1 over a fresh volume) on
-/// the result. Transactions still in flight at `target` are rolled back
-/// by restart undo, exactly as if the primary had crashed at that LSN.
+/// Point-in-time restore: reads the full log history (log::ReadHistory —
+/// archived segments first, then the live storage's surviving bytes),
+/// keeps it up to the last record whose end LSN is <= `target`, and runs
+/// a full restart (OpenMode::kRestore: redo from LSN 1 over a fresh
+/// volume) on the result. Transactions still in flight at `target` are
+/// rolled back by restart undo, exactly as if the primary had crashed at
+/// that LSN. A damaged length prefix or record below the target refuses
+/// the restore with Corruption (log::RecordReader), as does an archived
+/// segment that fails its manifest CRC.
 ///
 /// `live` may be null (restore purely from the archive — e.g. the primary
 /// host is gone but its tail had been recycled-and-archived). `opts` is

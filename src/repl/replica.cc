@@ -2,7 +2,6 @@
 
 #include <sys/socket.h>
 
-#include <cstring>
 #include <utility>
 
 #include "log/log_record.h"
@@ -162,23 +161,14 @@ Status Replica::ReceiveLoop() {
 }
 
 Status Replica::ProcessNewBytes() {
-  uint64_t sz = storage_->size();
   std::vector<uint8_t> buf;
-  while (parse_pos_ + 4 <= sz) {
-    SHOREMT_RETURN_NOT_OK(storage_->Read(parse_pos_, 4, &buf));
-    uint32_t len;
-    std::memcpy(&len, buf.data(), 4);
-    if (len < log::kLogRecordHeaderSize) {
-      return Status::Corruption("replica: bad record length at offset " +
-                                std::to_string(parse_pos_));
-    }
-    if (parse_pos_ + len > sz) break;  // incomplete tail; wait for more
-    SHOREMT_RETURN_NOT_OK(storage_->Read(parse_pos_, len, &buf));
-    log::LogRecord rec;
-    size_t consumed;
-    SHOREMT_RETURN_NOT_OK(log::DeserializeLogRecord(buf, &rec, &consumed));
-    rec.lsn = Lsn{parse_pos_ + 1};
-    Lsn end{parse_pos_ + consumed + 1};
+  SHOREMT_RETURN_NOT_OK(storage_->ReadFrom(parse_pos_, &buf));
+  log::RecordReader reader(buf, parse_pos_);
+  log::LogRecord rec;
+  Lsn end;
+  while (true) {
+    SHOREMT_ASSIGN_OR_RETURN(bool more, reader.Next(&rec, &end));
+    if (!more) break;  // incomplete tail; wait for more
 
     using log::LogRecordType;
     switch (rec.type) {
@@ -237,7 +227,7 @@ Status Replica::ProcessNewBytes() {
       default:
         break;  // kNoop
     }
-    parse_pos_ += consumed;
+    parse_pos_ = reader.offset();
   }
   return Status::Ok();
 }

@@ -741,36 +741,15 @@ Status StorageManager::ApplyRedo(const log::LogRecord& rec, Lsn end,
 }
 
 Status StorageManager::RepairPage(PageNum page, uint8_t* img) {
-  // Reassemble the page's full history exactly the way PITR restore does:
-  // archived segments first (they carry the recycled prefix), live log
-  // bytes after. Stream offset 0 is LSN 1.
-  std::vector<uint8_t> stream;
-  uint64_t archive_end = 0;
-  if (!options_.log.archive_dir.empty()) {
-    SHOREMT_ASSIGN_OR_RETURN(
-        log::LogArchive archive, log::LogArchive::Open(options_.log.archive_dir));
-    if (!archive.empty()) {
-      if (archive.base_offset() != 0) {
-        return Status::Corruption(
-            "archive starts at offset " +
-            std::to_string(archive.base_offset()) +
-            ", log prefix was recycled unarchived — page history incomplete");
-      }
-      // A damaged archived segment fails its manifest CRC here and the
-      // repair is refused — never rebuilt from bytes that cannot be
-      // trusted.
-      SHOREMT_RETURN_NOT_OK(archive.Read(0, archive.end_offset(), &stream));
-      archive_end = archive.end_offset();
-    }
-  }
-  if (log_storage_->size() > archive_end) {
-    std::vector<uint8_t> live;
-    // ReadFrom rejects offsets below the reclamation horizon, which is
-    // exactly the no-archive-and-recycled case: the history is gone.
-    SHOREMT_RETURN_NOT_OK(log_storage_->ReadFrom(archive_end, &live));
-    stream.insert(stream.end(), live.begin(), live.end());
-  }
-  if (stream.empty()) {
+  // The page's full history, the same bytes PITR restore reads: archived
+  // segments first (they carry the recycled prefix, each checked against
+  // its manifest CRC), live log bytes after. A damaged archive segment,
+  // or a recycled prefix with no archive, refuses the repair — never
+  // rebuild from bytes that cannot be trusted.
+  std::vector<uint8_t> history;
+  SHOREMT_RETURN_NOT_OK(
+      log::ReadHistory(options_.log.archive_dir, log_storage_, &history));
+  if (history.empty()) {
     return Status::Corruption("no repair source: empty archive and log");
   }
 
@@ -778,29 +757,17 @@ Status StorageManager::RepairPage(PageNum page, uint8_t* img) {
   // image. The final state is at least as new as any image write-back
   // could have produced (every change to an unfixed page is WAL-durable
   // before the page leaves the pool), so redo's page-LSN idempotence
-  // remains correct afterwards.
+  // remains correct afterwards. A damaged record anywhere in the history
+  // poisons everything after it — a partial replay would silently hand
+  // back a stale image — so the reader's Corruption refuses the repair.
   std::memset(img, 0, kPageSize);
   bool touched = false;
-  uint64_t pos = 0;
-  while (pos + 4 <= stream.size()) {
-    uint32_t len;
-    std::memcpy(&len, stream.data() + pos, 4);
-    if (len < log::kLogRecordHeaderSize + log::kLogRecordCrcSize ||
-        pos + len > stream.size()) {
-      break;  // Torn tail (crash mid-append): history ends here.
-    }
-    log::LogRecord rec;
-    size_t consumed = 0;
-    Status ds = log::DeserializeLogRecord(
-        std::span<const uint8_t>(stream).subspan(pos), &rec, &consumed);
-    if (!ds.ok()) {
-      // A damaged record anywhere in the stream poisons everything after
-      // it — a partial replay would silently hand back a stale image.
-      return Status::Corruption(ds.message() + " at LSN " +
-                                std::to_string(pos + 1) + " during repair");
-    }
-    Lsn end{pos + 1 + len};
-    rec.lsn = Lsn{pos + 1};
+  log::RecordReader reader(history, 0);
+  log::LogRecord rec;
+  Lsn end;
+  while (true) {
+    SHOREMT_ASSIGN_OR_RETURN(bool more, reader.Next(&rec, &end));
+    if (!more) break;  // Torn tail (crash mid-append): history ends here.
     log::LogRecordType action = PageAction(rec);
     if (rec.page == page &&
         (action == log::LogRecordType::kPageFormat || UpdatesPage(action))) {
@@ -808,7 +775,6 @@ Status StorageManager::RepairPage(PageNum page, uint8_t* img) {
       page::HeaderOf(img)->page_lsn = end.value;
       touched = true;
     }
-    pos += len;
   }
   if (!touched) {
     return Status::Corruption("no log record changes page " +

@@ -233,9 +233,9 @@ class StorageManager {
   /// a zeroed image, stamps its checksum, and durably rewrites the healed
   /// page on the volume. Records are applied straight onto `img`, never
   /// through the pool (this runs inside the pool's miss path). Fails with
-  /// Corruption when the history is incomplete (prefix recycled
-  /// unarchived, damaged archive segment, or no record ever changed the
-  /// page).
+  /// Corruption when the history is incomplete or untrustworthy (prefix
+  /// recycled unarchived, damaged archive segment, damaged length prefix
+  /// or record, or no record ever changed the page).
   Status RepairPage(PageNum page, uint8_t* img);
 
   /// Registers a table in the in-memory catalog (create or recovery).

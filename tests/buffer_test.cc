@@ -540,7 +540,6 @@ TEST(BufferPoolSingleTest, BatchedCleanerSurvivesEvictionRaces) {
   io::MemVolume vol;
   ASSERT_TRUE(vol.Extend(512).ok());
   BufferPoolOptions o = SmallPool(16);  // Small pool: constant eviction.
-  o.cleaner_threads = 2;
   BufferPool pool(&vol, o);
   // Writers dirty pages while cleaner passes run concurrently; eviction
   // pressure makes the cleaner and the eviction write-back race for the

@@ -100,6 +100,20 @@ PageNum FindStampedDataPage(io::Volume* volume, std::vector<uint8_t>* img) {
   return kInvalidPageNum;
 }
 
+/// Offset of the first record that starts at or past the middle of the
+/// log stream `bytes` (which starts at LSN 1).
+uint64_t MidLogRecordOffset(const std::vector<uint8_t>& bytes) {
+  log::RecordReader reader(bytes, 0);
+  log::LogRecord rec;
+  Lsn end;
+  while (reader.offset() < bytes.size() / 2) {
+    Result<bool> more = reader.Next(&rec, &end);
+    EXPECT_TRUE(more.ok() && *more);
+    if (!more.ok() || !*more) break;
+  }
+  return reader.offset();
+}
+
 // --------------------------------------------------------------- CRC32C ----
 
 TEST(Crc32cTest, KnownVectorAndExtendChaining) {
@@ -258,6 +272,67 @@ TEST(LogRecordCrcTest, TrailingCrcDetectsCorruptedRecord) {
   // A torn tail (record cut short) never parses as a whole record.
   std::vector<uint8_t> torn(wire.begin(), wire.end() - 3);
   EXPECT_FALSE(log::DeserializeLogRecord(torn, &parsed, &consumed).ok());
+
+  // The same framing through RecordReader over a two-record stream that
+  // starts at absolute offset kBase.
+  log::LogRecord rec2 = rec;
+  rec2.txn = 43;
+  std::vector<uint8_t> wire2;
+  log::SerializeLogRecord(rec2, &wire2);
+  std::vector<uint8_t> stream = wire;
+  stream.insert(stream.end(), wire2.begin(), wire2.end());
+  constexpr uint64_t kBase = 1000;
+  const uint64_t lsn2 = kBase + wire.size() + 1;
+  Lsn end;
+  // Reads record 1, then returns the reader's verdict on record 2.
+  auto second = [&](log::RecordReader* reader) {
+    Result<bool> first = reader->Next(&parsed, &end);
+    EXPECT_TRUE(first.ok() && *first);
+    EXPECT_EQ(parsed.lsn.value, kBase + 1);
+    EXPECT_EQ(end.value, lsn2);
+    return reader->Next(&parsed, &end);
+  };
+  auto names_lsn2 = [&](const Result<bool>& r) {
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("LSN " + std::to_string(lsn2)),
+              std::string::npos)
+        << r.status().ToString();
+  };
+
+  {  // Clean end.
+    log::RecordReader reader(stream, kBase);
+    Result<bool> more = second(&reader);
+    ASSERT_TRUE(more.ok() && *more) << more.status().ToString();
+    EXPECT_EQ(parsed.txn, 43u);
+    EXPECT_EQ(parsed.lsn.value, lsn2);
+    EXPECT_EQ(end.value, kBase + stream.size() + 1);
+    more = reader.Next(&parsed, &end);
+    ASSERT_TRUE(more.ok());
+    EXPECT_FALSE(*more);
+    EXPECT_EQ(reader.offset(), kBase + stream.size());
+  }
+  {  // Torn second record: the reader stops at its start.
+    std::vector<uint8_t> cut(stream.begin(), stream.end() - 5);
+    log::RecordReader reader(cut, kBase);
+    Result<bool> more = second(&reader);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    EXPECT_FALSE(*more);
+    EXPECT_EQ(reader.offset(), kBase + wire.size());
+  }
+  {  // A length prefix no record can have.
+    std::vector<uint8_t> bad2 = stream;
+    uint32_t two = 2;
+    std::memcpy(bad2.data() + wire.size(), &two, sizeof(two));
+    log::RecordReader reader(bad2, kBase);
+    names_lsn2(second(&reader));
+  }
+  {  // A flipped payload byte in record 2.
+    std::vector<uint8_t> bad2 = stream;
+    bad2[wire.size() + log::kLogRecordHeaderSize + 10] ^= 0x01;
+    log::RecordReader reader(bad2, kBase);
+    names_lsn2(second(&reader));
+  }
 }
 
 // ---------------------------------------------------------------- retry ----
@@ -650,6 +725,74 @@ TEST(SmFaultTest, BitFlipRepairFromArchivePlusLiveLog) {
   EXPECT_GE(db->pool()->stats().pages_repaired.load(), 1u);
 }
 
+TEST(SmFaultTest, RepairRefusesDamagedLengthPrefix) {
+  io::MemVolume volume;
+  log::LogStorage wal;
+  sm::StorageOptions opts = EngineOptions(0);
+  constexpr uint64_t kRows = 120;
+  {
+    auto db = std::move(*sm::StorageManager::Open(opts, &volume, &wal));
+    auto session = db->OpenSession();
+    ASSERT_TRUE(session->Begin().ok());
+    auto table = session->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(session->Commit().ok());
+    for (uint64_t k = 0; k < kRows; ++k) {
+      ASSERT_TRUE(session->Begin().ok());
+      ASSERT_TRUE(session->Insert(*table, k, Row(k)).ok());
+      ASSERT_TRUE(session->Commit().ok());
+    }
+    ASSERT_TRUE(db->pool()->CleanerPass(0).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    ASSERT_TRUE(db->Shutdown().ok());
+  }
+
+  auto reopened = sm::StorageManager::Open(opts, &volume, &wal);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto& db = *reopened;
+
+  // Zero the length prefix of a record mid-log — below the checkpoint, so
+  // restart has already passed it — by cutting the log there and
+  // re-appending the damaged suffix.
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(wal.ReadFrom(0, &bytes).ok());
+  uint64_t victim_rec = MidLogRecordOffset(bytes);
+  std::vector<uint8_t> suffix(bytes.begin() + victim_rec, bytes.end());
+  std::memset(suffix.data(), 0, 4);
+  ASSERT_TRUE(wal.TruncateTo(victim_rec).ok());
+  ASSERT_TRUE(wal.Append(suffix).ok());
+
+  std::vector<uint8_t> pristine;
+  PageNum victim = FindStampedDataPage(&volume, &pristine);
+  ASSERT_NE(victim, kInvalidPageNum);
+  std::vector<uint8_t> bad = pristine;
+  bad[300] ^= 0x40;
+  ASSERT_TRUE(volume.WritePage(victim, bad.data()).ok());
+
+  // The page's history is damaged, so the repair must be refused: a
+  // replay that stopped at the damage would hand back a stale page and
+  // committed rows would read as NotFound.
+  auto session = db->OpenSession();
+  ASSERT_TRUE(session->Begin().ok());
+  auto table = session->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  uint64_t refused = 0;
+  for (uint64_t k = 0; k < kRows; ++k) {
+    auto got = session->Read(*table, k);
+    if (got.ok()) {
+      auto want = Row(k);
+      EXPECT_TRUE(std::equal(got->begin(), got->end(), want.begin()));
+      continue;
+    }
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
+        << "key " << k << ": " << got.status().ToString();
+    ++refused;
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_EQ(db->pool()->stats().pages_repaired.load(), 0u);
+  (void)session->Abort();
+}
+
 TEST(SmFaultTest, RepairHealsEveryPageOverEveryRecordKind) {
   // A history with every page-changing record kind: inserts (enough to
   // split the index root and leaves), shrinking updates, deletes, and
@@ -858,6 +1001,46 @@ TEST(ArchiveIntegrityTest, RestoreToLsnRejectsCorruptedArchive) {
   auto restored = repl::RestoreToLsn(dir.path(), &wal, target,
                                      EngineOptions(4096));
   ASSERT_FALSE(restored.ok()) << "restore must refuse untrusted bytes";
+}
+
+TEST(ArchiveIntegrityTest, RestoreToLsnRejectsDamagedLengthPrefix) {
+  io::MemVolume volume;
+  log::LogStorage wal;
+  Lsn target;
+  {
+    auto db = std::move(
+        *sm::StorageManager::Open(EngineOptions(0), &volume, &wal));
+    auto session = db->OpenSession();
+    ASSERT_TRUE(session->Begin().ok());
+    auto table = session->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(session->Commit().ok());
+    for (uint64_t round = 0; round < 10; ++round) {
+      ASSERT_TRUE(session->Begin().ok());
+      for (uint64_t i = 0; i < 20; ++i) {
+        uint64_t key = round * 20 + i;
+        ASSERT_TRUE(session->Insert(*table, key, Row(key)).ok());
+      }
+      ASSERT_TRUE(session->Commit().ok());
+    }
+    target = db->log()->durable_lsn();
+    ASSERT_TRUE(db->Shutdown().ok());
+  }
+
+  // A copy of the log with one mid-log length prefix zeroed, restored
+  // with no archive: the history below the target is damaged, so the
+  // restore must fail instead of cutting the log at the damage.
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(wal.ReadFrom(0, &bytes).ok());
+  std::memset(bytes.data() + MidLogRecordOffset(bytes), 0, 4);
+  log::LogStorage copy;
+  ASSERT_TRUE(copy.Append(bytes).ok());
+  TempDir empty;
+  auto restored =
+      repl::RestoreToLsn(empty.path(), &copy, target, EngineOptions(0));
+  ASSERT_FALSE(restored.ok()) << "restore must refuse a damaged history";
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+      << restored.status().ToString();
 }
 
 // ---------------------------------------------------- shipper reconnect ----

@@ -375,7 +375,8 @@ TEST(LogBufferStressTest, ConsolidatedRingFullDrainsCompletedWatermark) {
     const uint64_t total = static_cast<uint64_t>(kThreads) * kPerThread;
     ASSERT_EQ(storage.size(), total * kRecord);
     // No torn records: the stream is a permutation of uniform blocks.
-    std::vector<uint8_t> bytes = storage.Snapshot();
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(storage.ReadFrom(0, &bytes).ok());
     std::vector<int> per_thread(kThreads + 1, 0);
     for (uint64_t r = 0; r < total; ++r) {
       uint8_t v = bytes[r * kRecord];

@@ -369,14 +369,13 @@ TEST(ReplTest, FailoverPromoteServesExactlyCommittedPrefix) {
 void ForEachRecord(
     const std::vector<uint8_t>& stream, sm::StorageManager* sm,
     const std::function<void(LogRecord, Lsn)>& apply) {
-  uint64_t pos = 0;
-  while (pos + 4 <= stream.size()) {
-    LogRecord rec;
-    size_t consumed;
-    std::span<const uint8_t> rest(stream.data() + pos, stream.size() - pos);
-    ASSERT_TRUE(log::DeserializeLogRecord(rest, &rec, &consumed).ok());
-    rec.lsn = Lsn{pos + 1};
-    Lsn end{pos + consumed + 1};
+  log::RecordReader reader(stream, 0);
+  LogRecord rec;
+  Lsn end;
+  while (true) {
+    Result<bool> more = reader.Next(&rec, &end);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
     switch (rec.type) {
       case LogRecordType::kCheckpoint:
       case LogRecordType::kCreateStore:
@@ -392,8 +391,8 @@ void ForEachRecord(
         apply(std::move(rec), end);
         break;
     }
-    pos += consumed;
   }
+  ASSERT_EQ(reader.offset(), stream.size()) << "torn record in the stream";
 }
 
 TEST(ReplTest, ParallelStrictRedoByteIdenticalToSequentialRedo) {
@@ -433,7 +432,8 @@ TEST(ReplTest, ParallelStrictRedoByteIdenticalToSequentialRedo) {
     ASSERT_TRUE(db->log()->FlushAll().ok());
     db->SimulateCrash();  // leave the volume out of it: redo does the work
   }
-  std::vector<uint8_t> stream = wal.Snapshot();
+  std::vector<uint8_t> stream;
+  ASSERT_TRUE(wal.ReadFrom(0, &stream).ok());
 
   // Two fresh instances replay the identical stream: one sequentially,
   // one through a 4-way strict partitioned pool.
