@@ -96,8 +96,8 @@ void RunVariant(bool cleaner, int producers) {
     allocated = ls.segments_allocated.load();
     recycled = ls.segments_recycled.load();
     checkpoints = ls.checkpoint_count.load();
-    cleaner_wb = ls.cleaner_writebacks.load();
-    bench::PrintLogLifecycleStats(db->log(), "    ");
+    cleaner_wb = db->pool()->stats().cleaner_writes.load();
+    bench::PrintLogLifecycleStats(db->log(), db->pool()->stats(), "    ");
     sessions.clear();
     db->SimulateCrash();
   }

@@ -40,9 +40,11 @@ inline void PrintCArrayLogStats(const log::LogStats& s, const char* indent) {
 
 /// One-line dump of the log-lifecycle counters (segmented log + cleaner +
 /// checkpoint loop): segment churn, live count, checkpoints, cleaner
-/// write-backs and the redo window recovery actually scanned. Shared by
-/// the fig5 async panel and the abl_cleaner endurance sweep.
-inline void PrintLogLifecycleStats(log::LogManager* mgr, const char* indent) {
+/// write-backs (the buffer pool's `cleaner_writes`) and the redo window
+/// recovery actually scanned. Used by the abl_cleaner endurance sweep.
+inline void PrintLogLifecycleStats(log::LogManager* mgr,
+                                   const buffer::BufferPoolStats& pool,
+                                   const char* indent) {
   const log::LogStats& s = mgr->stats();
   std::printf("%ssegments: alloc=%llu recycled=%llu live=%zu  ckpts=%llu  "
               "cleaner-wb=%llu  redo-scan-B=%llu\n",
@@ -50,7 +52,7 @@ inline void PrintLogLifecycleStats(log::LogManager* mgr, const char* indent) {
               (unsigned long long)s.segments_recycled.load(),
               mgr->live_segments(),
               (unsigned long long)s.checkpoint_count.load(),
-              (unsigned long long)s.cleaner_writebacks.load(),
+              (unsigned long long)pool.cleaner_writes.load(),
               (unsigned long long)s.redo_scan_bytes.load());
 }
 

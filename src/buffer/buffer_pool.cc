@@ -107,16 +107,6 @@ BufferPool::~BufferPool() {
   sync::SyncStatsRegistry::Instance().Unregister(&clock_stats_);
 }
 
-void BufferPool::SetLsnProvider(LsnProviderFn provider) {
-  std::lock_guard<std::mutex> guard(hooks_mutex_);
-  lsn_provider_ = std::move(provider);
-}
-
-void BufferPool::SetCleanerWritebackHook(std::function<void()> fn) {
-  std::lock_guard<std::mutex> guard(hooks_mutex_);
-  cleaner_writeback_hook_ = std::move(fn);
-}
-
 void BufferPool::SetPageRepairer(PageRepairFn fn) {
   std::lock_guard<std::mutex> guard(hooks_mutex_);
   page_repairer_ = std::move(fn);
@@ -555,22 +545,6 @@ Lsn BufferPool::ScanMinRecLsn() const {
 
 Status BufferPool::CleanerPass(size_t max_pages) {
   stats_.cleaner_sweeps.fetch_add(1, std::memory_order_relaxed);
-  // Copy the owner-wired hooks under the cleaner mutex: they are set
-  // after construction, possibly while the daemon is already running.
-  LsnProviderFn lsn_provider;
-  std::function<void()> writeback_hook;
-  {
-    std::lock_guard<std::mutex> guard(hooks_mutex_);
-    lsn_provider = lsn_provider_;
-    writeback_hook = cleaner_writeback_hook_;
-  }
-  // With an LSN provider the sweep-start LSN is the published redo point
-  // for a FULL sweep (strictly safe, see SetLsnProvider); otherwise fall
-  // back to the paper's newest-seen approximation. The dirty-page table
-  // supersedes both when it still holds entries after the pass.
-  uint64_t sweep_start_lsn = lsn_provider ? lsn_provider().value : 0;
-  uint64_t newest_seen = cleaner_lsn_.load(std::memory_order_relaxed);
-  Status first_error = Status::Ok();
 
   // Gather phase. Oldest-first: writing back the pages that pin the
   // minimum rec_lsn is what advances the redo low-water mark (and the log
@@ -604,14 +578,7 @@ Status BufferPool::CleanerPass(size_t max_pages) {
     }
     batch.push_back({page, frame});
   }
-  if (batch.empty()) {
-    Lsn dpt_min = dpt_.MinRecLsn();
-    uint64_t publish = !dpt_min.IsNull()
-                           ? dpt_min.value
-                           : (lsn_provider ? sweep_start_lsn : newest_seen);
-    cleaner_lsn_.store(publish, std::memory_order_release);
-    return Status::Ok();
-  }
+  if (batch.empty()) return Status::Ok();
 
   // Page-id order maximizes adjacent runs for the ring's coalescing.
   std::sort(batch.begin(), batch.end(),
@@ -625,8 +592,6 @@ Status BufferPool::CleanerPass(size_t max_pages) {
   for (const Gathered& g : batch) {
     batch_max_lsn = std::max(batch_max_lsn,
                              page::HeaderOf(FrameData(g.frame))->page_lsn);
-    newest_seen = std::max(newest_seen,
-                           page::HeaderOf(FrameData(g.frame))->page_lsn);
   }
   if (log_flush_) {
     Status st = log_flush_(Lsn{batch_max_lsn});
@@ -656,7 +621,7 @@ Status BufferPool::CleanerPass(size_t max_pages) {
     // shared latch held since the gather).
     page::StampPageChecksum(FrameData(frame));
     ring->QueueWrite(page, FrameData(frame),
-                     [this, page, frame, &writeback_hook](PageNum, Status st) {
+                     [this, page, frame](PageNum, Status st) {
                        Frame& pf = frames_[frame];
                        if (st.ok()) {
                          pf.dirty.store(false, std::memory_order_release);
@@ -664,7 +629,6 @@ Status BufferPool::CleanerPass(size_t max_pages) {
                          dpt_.Erase(page);
                          stats_.cleaner_writes.fetch_add(
                              1, std::memory_order_relaxed);
-                         if (writeback_hook) writeback_hook();
                        }
                        in_transit_.Remove(page);
                        pf.latch.ReleaseShared();
@@ -674,21 +638,10 @@ Status BufferPool::CleanerPass(size_t max_pages) {
   ring->Submit();
   // Drain keeps the pass synchronous from the daemon's point of view
   // (the next wake-up starts from a settled dirty-page table) and blocks
-  // until every callback has run — which is what makes the by-reference
-  // hook capture above safe.
-  first_error = ring->Drain();
+  // until every callback has run.
+  Status st = ring->Drain();
   stats_.cleaner_batches.fetch_add(1, std::memory_order_relaxed);
-
-  // Publish the low-water mark: the dirty-page table's incremental min is
-  // exact while entries remain; after a drained (full) pass fall back to
-  // the §7.7 publication so CleanerTrackedLsn keeps its historical
-  // meaning for the stage-comparison benches.
-  Lsn dpt_min = dpt_.MinRecLsn();
-  uint64_t publish = !dpt_min.IsNull()
-                         ? dpt_min.value
-                         : (lsn_provider ? sweep_start_lsn : newest_seen);
-  cleaner_lsn_.store(publish, std::memory_order_release);
-  return first_error;
+  return st;
 }
 
 size_t BufferPool::PrefetchPages(std::span<const PageNum> pages) {

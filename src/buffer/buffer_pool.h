@@ -187,20 +187,10 @@ class BufferPool {
   /// `log_flush` (optional) is invoked with a page's LSN before its dirty
   /// image is written out, enforcing write-ahead logging.
   using LogFlushFn = std::function<Status(Lsn)>;
-  /// Supplies the log's current append LSN (cleaner sweeps snapshot it).
-  using LsnProviderFn = std::function<Lsn()>;
 
   BufferPool(io::Volume* volume, BufferPoolOptions options,
              LogFlushFn log_flush = nullptr);
 
-  /// Wires the log's append-LSN source. With a provider, a full cleaner
-  /// sweep publishes the sweep-start LSN, which is a strictly safe redo
-  /// point: every page dirtied before the sweep started has been written
-  /// by the end of the sweep, so surviving dirt carries only newer LSNs.
-  /// Without a provider the sweep publishes the newest page LSN it wrote
-  /// (the paper's §7.7 approximation). Synchronized with the background
-  /// cleaner (which may already be running when the owner wires this).
-  void SetLsnProvider(LsnProviderFn provider);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -250,14 +240,6 @@ class BufferPool {
   /// Dirty pages currently tracked.
   size_t DirtyPageCount() const { return dpt_.size(); }
 
-  /// Newest page LSN (or sweep-start LSN, with an LSN provider) published
-  /// by the last completed full sweep — the paper's §7.7 approximation,
-  /// kept for comparison; checkpoints now use DirtyMinRecLsn(). Null if
-  /// no full sweep has completed.
-  Lsn CleanerTrackedLsn() const {
-    return Lsn{cleaner_lsn_.load(std::memory_order_acquire)};
-  }
-
   /// Runs one synchronous full cleaner sweep (tests, cold starts).
   Status CleanerSweep() { return CleanerPass(0); }
 
@@ -284,18 +266,15 @@ class BufferPool {
   /// The async I/O spine (benches submit through their own rings).
   io::IoScheduler* io() { return io_.get(); }
 
-  /// `fn` is invoked (from the cleaner thread) once per page the cleaner
-  /// writes back — the storage manager mirrors the count into
-  /// LogStats::cleaner_writebacks. Synchronized like SetLsnProvider.
-  void SetCleanerWritebackHook(std::function<void()> fn);
-
   /// Media auto-repair source. When a page image fails its checksum on
   /// read-in (miss path or scrubber), the pool calls `fn(page, img)`; the
   /// repairer must rebuild the full kPageSize image into `img`, stamp its
   /// checksum, AND durably rewrite the page on the volume (so the media
   /// copy is healed even if the frame is evicted clean). Returns Ok only
   /// on a complete repair. The storage manager wires this to its
-  /// archive+log page rebuilder. Synchronized like SetLsnProvider.
+  /// archive+log page rebuilder. Synchronized with the background
+  /// cleaner and scrubber, which may already be running when the owner
+  /// wires it.
   using PageRepairFn = std::function<Status(PageNum, uint8_t*)>;
   void SetPageRepairer(PageRepairFn fn);
 
@@ -363,7 +342,6 @@ class BufferPool {
   io::Volume* volume_;
   BufferPoolOptions options_;
   LogFlushFn log_flush_;
-  LsnProviderFn lsn_provider_;
   /// aligned_alloc'd to the O_DIRECT block size so every frame is a valid
   /// direct-I/O buffer (kPageSize is a multiple of the alignment).
   std::unique_ptr<uint8_t[], FreeDeleter> arena_;
@@ -380,9 +358,8 @@ class BufferPool {
   DirtyPageTable dpt_;
   /// Guarded by hooks_mutex_: set by the owner after construction,
   /// while the cleaner daemon may already be running.
-  std::function<void()> cleaner_writeback_hook_;
   PageRepairFn page_repairer_;
-  std::mutex hooks_mutex_;  ///< Guards lsn_provider_ + writeback/repair hooks.
+  std::mutex hooks_mutex_;  ///< Guards page_repairer_.
   /// Failed detached-read completions, keyed by page, consumed by the
   /// first fixer that waited on the page's in-transit entry (satisfying
   /// the invariant that an I/O error never vanishes between the worker
@@ -393,7 +370,6 @@ class BufferPool {
   std::atomic<size_t> prefetch_error_count_{0};
   /// Next page the scrubber will examine (wraps at the volume end).
   std::atomic<PageNum> scrub_cursor_{1};
-  std::atomic<uint64_t> cleaner_lsn_{0};
   /// Detached prefetch reads currently in flight (bounds PrefetchPages).
   std::atomic<size_t> prefetch_inflight_{0};
   /// The async I/O spine. Declared after every structure its worker-side

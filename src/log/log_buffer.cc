@@ -174,122 +174,12 @@ class DecoupledLogBuffer : public LogBuffer {
   bool flushing_ = false;
 };
 
-// ------------------------------------------------------- kConsolidated ----
-
-/// Shore-MT's final design (§6.2.4): the insert critical section shrinks
-/// to claiming buffer space — one atomic compare-and-swap, the moral
-/// equivalent of the extended MCS queue handing the insert offset from
-/// thread to thread. Threads then copy their records into the ring in
-/// parallel and publish completion in LSN order so the flusher never
-/// writes a hole.
-class ConsolidatedLogBuffer : public LogBuffer {
- public:
-  ConsolidatedLogBuffer(LogStorage* storage, size_t capacity)
-      : LogBuffer(storage), ring_(capacity) {
-    uint64_t base = storage->size();
-    head_.store(base, std::memory_order_relaxed);
-    completed_.store(base, std::memory_order_relaxed);
-  }
-
-  Result<Appended> Append(std::span<const uint8_t> rec,
-                          bool compensation) override {
-    if (rec.size() > ring_.size() / 2) {
-      return Status::InvalidArgument("record larger than log buffer");
-    }
-    // Claim: the only serialized step.
-    uint64_t start = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (start + rec.size() - storage_->size() > ring_.size()) {
-        // Ring full: drain everything already completed (the watermark) —
-        // flushing to a 1-byte target would return after any concurrent
-        // drain of a tiny prefix and loop back here, re-flushing small
-        // prefixes one device call at a time.
-        uint64_t watermark = completed_.load(std::memory_order_acquire);
-        if (watermark > storage_->size()) {
-          SHOREMT_RETURN_NOT_OK(FlushTo(Lsn{watermark + 1}));
-        } else {
-          // Every completed byte is durable; the ring is full of claimed
-          // bytes whose copiers are still in flight. Let them run.
-          std::this_thread::yield();
-        }
-        start = head_.load(std::memory_order_relaxed);
-        continue;
-      }
-      if (head_.compare_exchange_weak(start, start + rec.size(),
-                                      std::memory_order_acq_rel)) {
-        break;
-      }
-    }
-    // Parallel copy outside any critical section.
-    size_t pos = start % ring_.size();
-    size_t first = std::min(rec.size(), ring_.size() - pos);
-    std::memcpy(ring_.data() + pos, rec.data(), first);
-    if (first < rec.size()) {
-      std::memcpy(ring_.data(), rec.data() + first, rec.size() - first);
-    }
-    // Ordered completion hand-off (our queue node equivalent): wait for
-    // the predecessor to publish, then publish our end offset. Yield
-    // aggressively: the predecessor may need this CPU to finish its copy
-    // (matters on hosts with few hardware contexts).
-    int spins = 0;
-    while (completed_.load(std::memory_order_acquire) != start) {
-      if (++spins < 16) {
-        sync::CpuRelax();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    completed_.store(start + rec.size(), std::memory_order_release);
-    return Appended{Lsn{start + 1}, Lsn{start + rec.size() + 1}};
-  }
-
-  Status FlushTo(Lsn upto) override {
-    std::unique_lock<std::mutex> lk(flush_mutex_);
-    while (durable_lsn() < upto) {
-      if (!flushing_) {
-        flushing_ = true;
-        uint64_t target = completed_.load(std::memory_order_acquire);
-        lk.unlock();
-        Status st = GatherDrain(storage_, ring_.data(), ring_.size(), target);
-        lk.lock();
-        flushing_ = false;
-        flush_cv_.notify_all();
-        SHOREMT_RETURN_NOT_OK(st);
-        // If `upto` is still not durable the bytes were not completed yet;
-        // yield so the in-flight copiers can finish, then flush again.
-        if (durable_lsn() < upto) {
-          lk.unlock();
-          std::this_thread::yield();
-          lk.lock();
-        }
-      } else {
-        flush_cv_.wait(lk);
-      }
-    }
-    return Status::Ok();
-  }
-
-  Lsn next_lsn() const override {
-    return Lsn{head_.load(std::memory_order_acquire) + 1};
-  }
-
-  Lsn completed_lsn() override {
-    return Lsn{completed_.load(std::memory_order_acquire) + 1};
-  }
-
- private:
-  std::vector<uint8_t> ring_;
-  std::atomic<uint64_t> head_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::mutex flush_mutex_;
-  std::condition_variable flush_cv_;
-  bool flushing_ = false;
-};
-
 // ------------------------------------------------------------ kCArray ----
 
-/// Consolidation-array buffer: the claim stays a single CAS, but the two
-/// remaining scalability holes of kConsolidated are closed.
+/// Consolidation-array buffer (Shore-MT's final design, §6.2.4 taken one
+/// step further): the insert critical section shrinks to claiming buffer
+/// space, copies run in parallel, and neither the claim nor the completion
+/// hand-off serializes the inserters.
 ///
 /// 1. Contended claims CONSOLIDATE. A thread that loses the head CAS
 ///    joins an open group slot by CASing its size (and a member count)
@@ -701,8 +591,6 @@ std::unique_ptr<LogBuffer> MakeLogBuffer(LogBufferKind kind,
       return std::make_unique<MutexLogBuffer>(storage, capacity);
     case LogBufferKind::kDecoupled:
       return std::make_unique<DecoupledLogBuffer>(storage, capacity);
-    case LogBufferKind::kConsolidated:
-      return std::make_unique<ConsolidatedLogBuffer>(storage, capacity);
     case LogBufferKind::kCArray:
       return std::make_unique<CArrayLogBuffer>(storage, capacity,
                                                EnsureStats(stats),

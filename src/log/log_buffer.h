@@ -19,7 +19,8 @@ namespace shoremt::log {
 
 struct LogStats;
 
-/// Which log buffer implementation to use — the §6.2.2/§6.2.4/§7.4 story:
+/// Which log buffer implementation to use — the §6.2.2/§6.2.4/§7.4 story,
+/// one kind per development stage that selects it (StorageOptions::ForStage):
 enum class LogBufferKind : uint8_t {
   /// Original Shore: one mutex over a non-circular buffer; a full buffer
   /// triggers a synchronous flush that stalls every inserter; each insert
@@ -28,18 +29,15 @@ enum class LogBufferKind : uint8_t {
   /// Circular buffer with separate insert/compensation/flush critical
   /// sections; flushes no longer stall inserts unless the ring is full.
   kDecoupled,
-  /// Insert serialization reduced to claiming buffer space (an atomic
-  /// hand-off, the moral equivalent of the extended MCS queue of §6.2.4);
-  /// threads copy their records in parallel after the claim, but publish
-  /// completion in LSN order — one slow copier stalls every successor.
-  kConsolidated,
-  /// Consolidation-array buffer: threads that collide on the claim CAS
+  /// Consolidation-array buffer: insert serialization is reduced to
+  /// claiming buffer space with one CAS (the moral equivalent of the
+  /// extended MCS queue of §6.2.4). Threads that collide on the claim
   /// join an open group slot (atomically adding their sizes), one leader
-  /// claims the combined extent with a single CAS, and members copy their
-  /// sub-ranges in parallel. Completion is published OUT OF ORDER through
-  /// per-region completed-byte counters; the flusher advances a
-  /// contiguous watermark over fully-completed regions. No predecessor
-  /// spin, no global ordering point.
+  /// claims the combined extent, and members copy their sub-ranges in
+  /// parallel. Completion is published OUT OF ORDER through per-region
+  /// completed-byte counters; the flusher advances a contiguous watermark
+  /// over fully-completed regions. No predecessor spin, no global
+  /// ordering point.
   kCArray,
 };
 
@@ -82,9 +80,10 @@ class LogBuffer {
   LogStorage* storage_;
 };
 
-/// `stats` (optional) receives the consolidation counters of the kCArray
-/// buffer (group sizes, slot joins vs solo claims, watermark stalls); the
-/// other kinds ignore it. `force_consolidation` is the
+/// Builds the buffer for `kind` over `storage` with a `capacity`-byte
+/// staging area. `stats` (optional) receives the consolidation counters of
+/// the kCArray buffer (group sizes, slot joins vs solo claims, watermark
+/// stalls); kMutex and kDecoupled ignore it. `force_consolidation` is the
 /// LogOptions::carray_force_consolidation test hook.
 std::unique_ptr<LogBuffer> MakeLogBuffer(LogBufferKind kind,
                                          LogStorage* storage,

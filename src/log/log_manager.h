@@ -155,9 +155,6 @@ class LogManager {
   void NoteCheckpoint() {
     stats_.checkpoint_count.fetch_add(1, std::memory_order_relaxed);
   }
-  void NoteCleanerWriteback() {
-    stats_.cleaner_writebacks.fetch_add(1, std::memory_order_relaxed);
-  }
   void NoteRedoScanBytes(uint64_t bytes) {
     stats_.redo_scan_bytes.fetch_add(bytes, std::memory_order_relaxed);
   }

@@ -33,11 +33,6 @@ struct LogStats {
   /// Of those, segments written into the archive (PITR) before being
   /// freed — equal to segments_recycled when an archive dir is set.
   std::atomic<uint64_t> segments_archived{0};
-  /// Dirty pages the background cleaner wrote back (mirrored from the
-  /// buffer pool through the storage manager's writeback hook — the
-  /// cleaner is what advances the redo low-water mark that lets Recycle
-  /// free segments).
-  std::atomic<uint64_t> cleaner_writebacks{0};
   /// Fuzzy checkpoints taken.
   std::atomic<uint64_t> checkpoint_count{0};
   /// Bytes the redo pass actually scanned during recovery — with a

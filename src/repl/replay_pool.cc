@@ -6,8 +6,8 @@
 
 namespace shoremt::repl {
 
-ReplayPool::ReplayPool(sm::StorageManager* sm, size_t workers, Mode mode)
-    : sm_(sm), mode_(mode), nworkers_(std::max<size_t>(1, workers)) {
+ReplayPool::ReplayPool(sm::StorageManager* sm, size_t workers)
+    : sm_(sm), nworkers_(std::max<size_t>(1, workers)) {
   partitions_.reserve(nworkers_);
   for (size_t i = 0; i < nworkers_; ++i) {
     partitions_.push_back(std::make_unique<Partition>());
@@ -115,7 +115,6 @@ void ReplayPool::BarrierArrived(uint64_t id) {
 
 void ReplayPool::WorkerLoop(size_t idx) {
   Partition& p = *partitions_[idx];
-  const bool force = mode_ == Mode::kDeferred;
   std::deque<Task> batch;
   for (;;) {
     {
@@ -136,7 +135,7 @@ void ReplayPool::WorkerLoop(size_t idx) {
       // After a sticky error keep consuming (so the dispatcher and
       // barriers never wedge) but stop mutating pages.
       if (has_error_.load(std::memory_order_acquire)) continue;
-      Status st = sm_->ApplyRedo(t.rec, t.end, force);
+      Status st = sm_->ApplyRedo(t.rec, t.end, /*force=*/true);
       if (!st.ok()) {
         std::lock_guard<std::mutex> lk(error_mutex_);
         if (!has_error_.load(std::memory_order_relaxed)) {

@@ -30,19 +30,13 @@ namespace shoremt::repl {
 /// before the barrier has been applied, so the horizon advances to `h`.
 /// Readers above the horizon see a consistent committed prefix.
 ///
-/// Two modes:
-///  - kStrict: records arrive in LSN order (a recovery-style scan); the
-///    page-LSN idempotence guard stays on. Used by the equivalence test
-///    to prove parallel redo is byte-identical to sequential redo.
-///  - kDeferred: records arrive in COMMIT order (the replica's
-///    commit-gated dispatcher), which breaks per-page LSN monotonicity;
-///    applies are forced and the page LSN only ratchets upward.
+/// Records arrive in COMMIT order (the replica's commit-gated dispatcher),
+/// which breaks per-page LSN monotonicity, so every apply is forced and the
+/// page LSN only ratchets upward.
 class ReplayPool {
  public:
-  enum class Mode { kStrict, kDeferred };
-
   /// `sm` must outlive the pool. `workers` is clamped to >= 1.
-  ReplayPool(sm::StorageManager* sm, size_t workers, Mode mode);
+  ReplayPool(sm::StorageManager* sm, size_t workers);
   /// Stops and joins the workers; queued records still unapplied at
   /// destruction are dropped (callers that need them applied Drain first).
   ~ReplayPool();
@@ -101,7 +95,6 @@ class ReplayPool {
   void BarrierArrived(uint64_t id);
 
   sm::StorageManager* sm_;
-  Mode mode_;
   size_t nworkers_;
   /// Per-partition queue bound: deep enough to ride out skewed page
   /// distributions, small enough to bound replica memory when replay

@@ -66,8 +66,7 @@ Status Replica::Start(int fd) {
                            sm::StorageManager::Open(o, volume_, storage_));
   {
     std::lock_guard<std::mutex> lk(pool_mutex_);
-    pool_ = std::make_unique<ReplayPool>(sm_.get(), opts_.replay_workers,
-                                         ReplayPool::Mode::kDeferred);
+    pool_ = std::make_unique<ReplayPool>(sm_.get(), opts_.replay_workers);
   }
   // A previously received prefix (reconnect over a fresh volume) is
   // replayed before asking for more — the kHello offset promises the

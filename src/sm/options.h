@@ -98,10 +98,10 @@ struct StorageOptions {
   /// once per buffered-leaf generation, so a scan stays at most one leaf
   /// ahead of consumption.
   size_t scan_readahead = 8;
-  /// Recovery redo buffers log records in windows of this size and
-  /// prefetches the distinct pages the window names before applying it in
-  /// order (0 = apply record-at-a-time as before). Byte-identical: only
-  /// the page reads move earlier, never the redo application.
+  /// Unused: nothing reads it. Restart redo applies each record straight
+  /// from the log reader with no readahead window. It stays declared only
+  /// because the benchmark driver still assigns it; the benchmark change
+  /// that stops setting it deletes it.
   size_t recovery_prefetch_window = 64;
   /// See OpenMode; replication paths (src/repl) set the non-default modes.
   OpenMode open_mode = OpenMode::kRecover;

@@ -151,7 +151,6 @@ StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
   pool_ = std::make_unique<buffer::BufferPool>(
       volume_, options_.buffer,
       [this](Lsn lsn) { return log_->FlushTo(lsn); });
-  pool_->SetLsnProvider([this] { return log_->next_lsn(); });
   space_ = std::make_unique<space::SpaceManager>(volume_, options_.space);
   locks_ = std::make_unique<lock::LockManager>(options_.lock);
   txns_ = std::make_unique<txn::TxnManager>(log_.get(), locks_.get(),
@@ -160,17 +159,15 @@ StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
       [this](txn::Transaction* txn, const log::LogRecord& rec) {
         return UndoRecord(txn, txn->id, rec);
       });
-  // Close the log-lifecycle loop: cleaner write-backs are mirrored into
-  // LogStats, and log-segment pressure (reported by the flush daemon after
-  // its batches) wakes the cleaner and the checkpoint daemon so the
-  // low-water mark advances and Recycle can free segments — cv notifies
-  // end to end, nothing polls.
-  pool_->SetCleanerWritebackHook([this] { log_->NoteCleanerWriteback(); });
   // Media auto-repair: a checksum-failed read-in (miss path or scrubber)
   // rebuilds the page from the archived + live log history instead of
   // surfacing Corruption to the fixer.
   pool_->SetPageRepairer(
       [this](PageNum page, uint8_t* img) { return RepairPage(page, img); });
+  // Close the log-lifecycle loop: log-segment pressure (reported by the
+  // flush daemon after its batches) wakes the cleaner and the checkpoint
+  // daemon so the low-water mark advances and Recycle can free segments —
+  // cv notifies end to end, nothing polls.
   log_->SetPressureHook([this] {
     pool_->WakeCleaner();
     WakeCheckpoint();
@@ -190,6 +187,8 @@ StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
         s.misses.load(std::memory_order_relaxed);
     (*t)[static_cast<size_t>(obs::Metric::kEvictions)] +=
         s.evictions.load(std::memory_order_relaxed);
+    (*t)[static_cast<size_t>(obs::Metric::kCleanerWritebacks)] +=
+        s.cleaner_writes.load(std::memory_order_relaxed);
   });
   metrics_.AddSource([this](std::array<uint64_t, obs::kMetricCount>* t) {
     (*t)[static_cast<size_t>(obs::Metric::kPagesAllocated)] +=
@@ -203,8 +202,6 @@ StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
         s.group_batches.load(std::memory_order_relaxed);
     (*t)[static_cast<size_t>(obs::Metric::kGroupBatchTxns)] +=
         s.group_batch_txns.load(std::memory_order_relaxed);
-    (*t)[static_cast<size_t>(obs::Metric::kCleanerWritebacks)] +=
-        s.cleaner_writebacks.load(std::memory_order_relaxed);
     (*t)[static_cast<size_t>(obs::Metric::kCheckpoints)] +=
         s.checkpoint_count.load(std::memory_order_relaxed);
     (*t)[static_cast<size_t>(obs::Metric::kSegmentsRecycled)] +=
@@ -972,43 +969,13 @@ Status StorageManager::Recover() {
   log_->NoteRedoScanBytes(log_storage_->size() -
                           std::min(log_storage_->size(),
                                    redo_start.value - 1));
-  // Redo windowing: buffer `window` records, prefetch the distinct pages
-  // the window names (detached async reads through the buffer pool), then
-  // apply the window strictly in log order. The page reads move off the
-  // critical path; the applies themselves never reorder, so the replayed
-  // state is byte-identical to record-at-a-time redo.
-  const size_t window = options_.recovery_prefetch_window;
-  std::vector<std::pair<log::LogRecord, Lsn>> pending;
-  std::vector<PageNum> prefetch;
-  auto flush_window = [&]() -> Status {
-    if (pending.empty()) return Status::Ok();
-    if (window > 0) {
-      prefetch.clear();
-      for (const auto& [rec, end] : pending) {
-        // Only updates read their page; a format allocates via NewPage.
-        if (!UpdatesPage(PageAction(rec))) continue;
-        if (std::find(prefetch.begin(), prefetch.end(), rec.page) ==
-            prefetch.end()) {
-          prefetch.push_back(rec.page);
-        }
-      }
-      pool_->PrefetchPages(prefetch);
-    }
-    for (const auto& [rec, end] : pending) {
-      SHOREMT_RETURN_NOT_OK(ApplyRedo(rec, end, /*force=*/false));
-    }
-    pending.clear();
-    return Status::Ok();
-  };
+  // Apply each record in log order, straight from the reader's reused
+  // record.
   SHOREMT_RETURN_NOT_OK(log_->Scan(
       [&](const log::LogRecord& rec, Lsn end) {
-        // LogRecord owns its payload vectors, so buffering copies is safe.
-        pending.emplace_back(rec, end);
-        if (pending.size() < std::max<size_t>(window, 1)) return Status::Ok();
-        return flush_window();
+        return ApplyRedo(rec, end, /*force=*/false);
       },
       redo_start));
-  SHOREMT_RETURN_NOT_OK(flush_window());
 
   SHOREMT_RETURN_NOT_OK(UndoLosers(analysis.losers,
                                    /*structure_only=*/false));

@@ -221,9 +221,6 @@ WorkloadModel InsertMicroModel(EngineKind engine, sm::Stage stage,
     if (o.log.buffer_kind == log::LogBufferKind::kDecoupled) {
       cs = c.log_cs_decoupled;
     }
-    if (o.log.buffer_kind == log::LogBufferKind::kConsolidated) {
-      cs = c.log_cs_consolidated;
-    }
     if (o.log.buffer_kind == log::LogBufferKind::kCArray) {
       cs = c.log_cs_carray;
     }

@@ -25,7 +25,6 @@ struct Calibration {
   uint64_t fsm_refactor_overhead = 2500;  ///< +30%-ish single-thread cost.
   uint64_t log_cs_mutex = 2200;       ///< Mutex log buffer insert CS.
   uint64_t log_cs_decoupled = 400;    ///< Decoupled circular buffer CS.
-  uint64_t log_cs_consolidated = 150; ///< Claim-only insert CS.
   /// Consolidation-array buffer: colliders share one claim CAS and
   /// completion publication leaves the serialized path entirely.
   uint64_t log_cs_carray = 100;

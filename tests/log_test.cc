@@ -194,7 +194,6 @@ TEST_P(LogBufferTest, ConcurrentAppendersProduceDenseLog) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, LogBufferTest,
                          ::testing::Values(LogBufferKind::kMutex,
                                            LogBufferKind::kDecoupled,
-                                           LogBufferKind::kConsolidated,
                                            LogBufferKind::kCArray),
                          [](const auto& info) {
                            switch (info.param) {
@@ -202,8 +201,6 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, LogBufferTest,
                                return "Mutex";
                              case LogBufferKind::kDecoupled:
                                return "Decoupled";
-                             case LogBufferKind::kConsolidated:
-                               return "Consolidated";
                              case LogBufferKind::kCArray:
                                return "CArray";
                            }
@@ -211,8 +208,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, LogBufferTest,
                          });
 
 constexpr LogBufferKind kAllBufferKinds[] = {
-    LogBufferKind::kMutex, LogBufferKind::kDecoupled,
-    LogBufferKind::kConsolidated, LogBufferKind::kCArray};
+    LogBufferKind::kMutex, LogBufferKind::kDecoupled, LogBufferKind::kCArray};
 
 // Deterministic per-record payload so readback can prove bytes are
 // neither torn nor cross-wired between records.
@@ -286,112 +282,104 @@ TEST(LogBufferStressTest, MultiProducerRecordsSurviveDrainIntact) {
 /// intact and dense, covering at least every explicitly flushed target,
 /// with the unflushed tail gone.
 TEST(LogBufferStressTest, CrashRecoversContiguousCompletedPrefix) {
-  for (LogBufferKind kind :
-       {LogBufferKind::kConsolidated, LogBufferKind::kCArray}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    constexpr int kThreads = 4;
-    const int kPerThread = 200;
-    LogStorage storage;
-    std::atomic<uint64_t> max_flushed{0};
-    {
-      LogOptions opts;
-      opts.buffer_kind = kind;
-      opts.buffer_capacity = 1 << 13;
-      LogManager mgr(&storage, opts);
-      std::vector<std::thread> workers;
-      for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-          for (int i = 0; i < kPerThread; ++i) {
-            TxnId txn = static_cast<TxnId>(t + 1);
-            LogRecord rec = MakeUpdate(txn, static_cast<PageNum>(i), 0, {},
-                                       StressPayload(txn, i));
-            auto a = mgr.Append(rec);
-            ASSERT_TRUE(a.ok());
-            if (i % 25 == 24) {
-              ASSERT_TRUE(mgr.FlushTo(a->end).ok());
-              uint64_t prev = max_flushed.load();
-              while (prev < a->end.value &&
-                     !max_flushed.compare_exchange_weak(prev, a->end.value)) {
-              }
+  constexpr int kThreads = 4;
+  const int kPerThread = 200;
+  LogStorage storage;
+  std::atomic<uint64_t> max_flushed{0};
+  {
+    LogOptions opts;
+    opts.buffer_kind = LogBufferKind::kCArray;
+    opts.buffer_capacity = 1 << 13;
+    LogManager mgr(&storage, opts);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          TxnId txn = static_cast<TxnId>(t + 1);
+          LogRecord rec = MakeUpdate(txn, static_cast<PageNum>(i), 0, {},
+                                     StressPayload(txn, i));
+          auto a = mgr.Append(rec);
+          ASSERT_TRUE(a.ok());
+          if (i % 25 == 24) {
+            ASSERT_TRUE(mgr.FlushTo(a->end).ok());
+            uint64_t prev = max_flushed.load();
+            while (prev < a->end.value &&
+                   !max_flushed.compare_exchange_weak(prev, a->end.value)) {
             }
           }
-        });
-      }
-      for (auto& w : workers) w.join();
-      mgr.Abandon();  // Crash: whatever was not flushed is lost.
+        }
+      });
     }
-    ASSERT_GE(storage.size() + 1, max_flushed.load());
-
-    LogManager recovered(&storage, LogOptions{});
-    uint64_t offset = 0;
-    Lsn last_end{0};
-    ASSERT_TRUE(recovered
-                    .Scan([&](const LogRecord& rec, Lsn end) {
-                      // Contiguous prefix: each record starts exactly
-                      // where its predecessor ended.
-                      EXPECT_EQ(rec.lsn.value, offset + 1);
-                      EXPECT_EQ(rec.after, StressPayload(rec.txn, rec.page));
-                      offset = end.value - 1;
-                      last_end = end;
-                      return Status::Ok();
-                    })
-                    .ok());
-    // The replayed prefix covers every acknowledged flush target and ends
-    // at the durable horizon — nothing beyond it, no holes inside it.
-    EXPECT_GE(last_end.value, max_flushed.load());
-    EXPECT_EQ(offset, storage.size());
+    for (auto& w : workers) w.join();
+    mgr.Abandon();  // Crash: whatever was not flushed is lost.
   }
+  ASSERT_GE(storage.size() + 1, max_flushed.load());
+
+  LogManager recovered(&storage, LogOptions{});
+  uint64_t offset = 0;
+  Lsn last_end{0};
+  ASSERT_TRUE(recovered
+                  .Scan([&](const LogRecord& rec, Lsn end) {
+                    // Contiguous prefix: each record starts exactly
+                    // where its predecessor ended.
+                    EXPECT_EQ(rec.lsn.value, offset + 1);
+                    EXPECT_EQ(rec.after, StressPayload(rec.txn, rec.page));
+                    offset = end.value - 1;
+                    last_end = end;
+                    return Status::Ok();
+                  })
+                  .ok());
+  // The replayed prefix covers every acknowledged flush target and ends
+  // at the durable horizon — nothing beyond it, no holes inside it.
+  EXPECT_GE(last_end.value, max_flushed.load());
+  EXPECT_EQ(offset, storage.size());
 }
 
-/// Regression for the consolidated buffer's ring-full path: it used to
-/// flush to `storage size + 2` — one byte past durable — so a full ring
+/// Regression for the ring-full path: it used to flush to
+/// `storage size + 2` — one byte past durable — so a full ring
 /// could bounce through FlushTo re-flushing tiny prefixes, one device
 /// call each. Flushing to the completed watermark drains everything
 /// completed per call: with records near ring capacity and heavy
 /// ring-full traffic, the device-call count stays in the order of the
 /// record count.
-TEST(LogBufferStressTest, ConsolidatedRingFullDrainsCompletedWatermark) {
-  for (LogBufferKind kind :
-       {LogBufferKind::kConsolidated, LogBufferKind::kCArray}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    constexpr int kThreads = 4;
-    const int kPerThread = 200;
-    constexpr size_t kRing = 1 << 12;
-    constexpr size_t kRecord = 1800;  // Near the ring/2 record ceiling.
-    LogStorage storage;
-    auto buf = MakeLogBuffer(kind, &storage, kRing);
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
-        std::vector<uint8_t> rec(kRecord,
-                                 static_cast<uint8_t>(1 + t));
-        for (int i = 0; i < kPerThread; ++i) {
-          ASSERT_TRUE(buf->Append(rec, false).ok());
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    ASSERT_TRUE(buf->FlushTo(buf->next_lsn()).ok());
-    const uint64_t total = static_cast<uint64_t>(kThreads) * kPerThread;
-    ASSERT_EQ(storage.size(), total * kRecord);
-    // No torn records: the stream is a permutation of uniform blocks.
-    std::vector<uint8_t> bytes;
-    ASSERT_TRUE(storage.ReadFrom(0, &bytes).ok());
-    std::vector<int> per_thread(kThreads + 1, 0);
-    for (uint64_t r = 0; r < total; ++r) {
-      uint8_t v = bytes[r * kRecord];
-      ASSERT_GE(v, 1);
-      ASSERT_LE(v, kThreads);
-      ++per_thread[v];
-      for (size_t i = 1; i < kRecord; ++i) {
-        ASSERT_EQ(bytes[r * kRecord + i], v) << "torn record " << r;
+TEST(LogBufferStressTest, RingFullDrainsCompletedWatermark) {
+  constexpr int kThreads = 4;
+  const int kPerThread = 200;
+  constexpr size_t kRing = 1 << 12;
+  constexpr size_t kRecord = 1800;  // Near the ring/2 record ceiling.
+  LogStorage storage;
+  auto buf = MakeLogBuffer(LogBufferKind::kCArray, &storage, kRing);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<uint8_t> rec(kRecord,
+                               static_cast<uint8_t>(1 + t));
+      for (int i = 0; i < kPerThread; ++i) {
+        ASSERT_TRUE(buf->Append(rec, false).ok());
       }
-    }
-    for (int t = 1; t <= kThreads; ++t) EXPECT_EQ(per_thread[t], kPerThread);
-    // Tiny-prefix pathology bound: draining the watermark needs at most
-    // ~one device call per ring-full record (plus slack for races).
-    EXPECT_LE(storage.flush_calls(), 2 * total);
+    });
   }
+  for (auto& w : workers) w.join();
+  ASSERT_TRUE(buf->FlushTo(buf->next_lsn()).ok());
+  const uint64_t total = static_cast<uint64_t>(kThreads) * kPerThread;
+  ASSERT_EQ(storage.size(), total * kRecord);
+  // No torn records: the stream is a permutation of uniform blocks.
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(storage.ReadFrom(0, &bytes).ok());
+  std::vector<int> per_thread(kThreads + 1, 0);
+  for (uint64_t r = 0; r < total; ++r) {
+    uint8_t v = bytes[r * kRecord];
+    ASSERT_GE(v, 1);
+    ASSERT_LE(v, kThreads);
+    ++per_thread[v];
+    for (size_t i = 1; i < kRecord; ++i) {
+      ASSERT_EQ(bytes[r * kRecord + i], v) << "torn record " << r;
+    }
+  }
+  for (int t = 1; t <= kThreads; ++t) EXPECT_EQ(per_thread[t], kPerThread);
+  // Tiny-prefix pathology bound: draining the watermark needs at most
+  // ~one device call per ring-full record (plus slack for races).
+  EXPECT_LE(storage.flush_calls(), 2 * total);
 }
 
 /// Group-protocol coverage: with the force-consolidation hook every
@@ -852,7 +840,7 @@ TEST(LogManagerTest, GroupCommitAmortizesFlushCalls) {
   // should need far fewer storage appends than commits.
   LogStorage storage(/*append_latency_ns=*/200'000);
   LogOptions opts;
-  opts.buffer_kind = LogBufferKind::kConsolidated;
+  opts.buffer_kind = LogBufferKind::kCArray;
   LogManager mgr(&storage, opts);
   constexpr int kThreads = 4;
   constexpr int kCommits = 25;

@@ -359,15 +359,18 @@ TEST(ProfilingThreadTest, RegistrySourcesMatchSubsystemStats) {
     }
     ASSERT_GT(committed, 0);
   }
+  ASSERT_TRUE(db->pool()->CleanerSweep().ok());
   auto structs = [&] {
-    return std::array<uint64_t, 3>{
+    return std::array<uint64_t, 4>{
         db->pool()->stats().evictions.load(),
         db->space()->stats().pages_allocated.load(),
-        db->log()->stats().group_batch_txns.load()};
+        db->log()->stats().group_batch_txns.load(),
+        db->pool()->stats().cleaner_writes.load()};
   };
-  // The flush daemon books a batch just after waking its committers: read
-  // the structs on both sides of the snapshot until they agree.
-  std::array<uint64_t, 3> before, after;
+  // The flush daemon books a batch just after waking its committers, and
+  // the background cleaner may still be writing back: read the structs on
+  // both sides of the snapshot until they agree.
+  std::array<uint64_t, 4> before, after;
   MetricsSnapshot snap;
   for (int tries = 0; tries < 1000; ++tries) {
     before = structs();
@@ -380,9 +383,11 @@ TEST(ProfilingThreadTest, RegistrySourcesMatchSubsystemStats) {
   EXPECT_GT(after[0], 0u) << "the pool never evicted";
   EXPECT_GT(after[1], 0u);
   EXPECT_GT(after[2], 0u);
+  EXPECT_GT(after[3], 0u) << "the sweep wrote nothing back";
   EXPECT_EQ(snap[Metric::kEvictions], after[0]);
   EXPECT_EQ(snap[Metric::kPagesAllocated], after[1]);
   EXPECT_EQ(snap[Metric::kGroupBatchTxns], after[2]);
+  EXPECT_EQ(snap[Metric::kCleanerWritebacks], after[3]);
 }
 
 }  // namespace
