@@ -9,7 +9,7 @@
 ///                cannot recycle, live segments grow with the run;
 ///   cleaner ON   write-back advances the low-water mark, checkpoints
 ///                recycle behind the workload, live segments stay bounded
-///                at the pressure threshold.
+///                (by the checkpoint cadence).
 ///
 /// After each window the engine crashes (SimulateCrash) and reopens, so
 /// the sweep also measures the recovery bound the loop buys: with the
@@ -20,8 +20,15 @@
 /// producers, inserts/s, p99 insert ns, live/allocated/recycled segment
 /// counts, recycle rate, redo-scan bytes) so endurance sweeps can be
 /// diffed across revisions.
+///
+/// `--smoke` runs one short cleaner-on cell (2 producers) and exits
+/// nonzero if the run fails, if live segments end above
+/// kSmokeLiveMultiple × the pressure threshold, or if recovery's redo
+/// scans more than a quarter of the log — so a cleaner that stops
+/// advancing the low-water mark cannot go unnoticed.
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -38,20 +45,35 @@ using namespace shoremt;
 namespace {
 
 constexpr size_t kSegmentBytes = 32 << 10;
+constexpr size_t kPressureSegments = 4;
+/// Smoke bound on live segments, in pressure thresholds. Live segments
+/// track the checkpoint cadence (recycling is clamped to the newest
+/// snapshot-carrying checkpoint), not the threshold itself: 5–62 in the
+/// smoke cell on a 4-vCPU host, ~320 when the horizon rule's anchor is
+/// frozen (only the clock and dirty-ratio rules write), ~1,700 with the
+/// cleaner off.
+constexpr size_t kSmokeLiveMultiple = 32;
 
-void RunVariant(bool cleaner, int producers) {
+/// What one cell measured; `ran` is false when the engine failed.
+struct Cell {
+  bool ran = false;
+  uint64_t live = 0;
+  uint64_t redo_scan = 0;
+  uint64_t log_bytes = 0;
+};
+
+Cell RunVariant(bool cleaner, int producers, uint64_t window_ms) {
   io::MemVolume volume;
   log::LogStorage wal(/*append_latency_ns=*/0, kSegmentBytes);
   sm::StorageOptions opts =
       sm::StorageOptions::ForStage(sm::Stage::kFinal);
   opts.log.segment_bytes = kSegmentBytes;
-  opts.log.recycle_pressure_segments = 4;
+  opts.log.recycle_pressure_segments = kPressureSegments;
   opts.buffer.enable_cleaner = cleaner;
   opts.buffer.cleaner_interval_us = 1000;
   opts.buffer.cleaner_batch = 64;
   opts.checkpoint_daemon = true;
   opts.checkpoint_interval_ms = 20;
-  uint64_t window_ms = bench::FullMode() ? 2000 : 400;
 
   double inserts_per_s = 0;
   uint64_t p99_ns = 0;
@@ -59,7 +81,7 @@ void RunVariant(bool cleaner, int producers) {
            cleaner_wb = 0;
   {
     auto opened = sm::StorageManager::Open(opts, &volume, &wal);
-    if (!opened.ok()) return;
+    if (!opened.ok()) return {};
     auto& db = *opened;
     // One session + private table per producer (the paper's record-insert
     // shape: no logical contention, pure engine stress).
@@ -69,9 +91,9 @@ void RunVariant(bool cleaner, int producers) {
     for (int i = 0; i < producers; ++i) {
       sessions.push_back(db->OpenSession());
       sm::Session* s = sessions.back().get();
-      if (!s->Begin().ok()) return;
+      if (!s->Begin().ok()) return {};
       auto table = s->CreateTable("t" + std::to_string(i));
-      if (!table.ok() || !s->Commit().ok()) return;
+      if (!table.ok() || !s->Commit().ok()) return {};
       tables.push_back(*table);
     }
     std::vector<uint8_t> payload(100, 0xab);
@@ -110,7 +132,7 @@ void RunVariant(bool cleaner, int producers) {
     if (!reopened.ok()) {
       std::printf("    recovery FAILED: %s\n",
                   reopened.status().ToString().c_str());
-      return;
+      return {};
     }
     redo_scan = (*reopened)->log()->stats().redo_scan_bytes.load();
     (*reopened)->SimulateCrash();  // Keep the artifact for nothing further.
@@ -139,26 +161,44 @@ void RunVariant(bool cleaner, int producers) {
               (unsigned long long)checkpoints,
               (unsigned long long)cleaner_wb, (unsigned long long)redo_scan,
               (unsigned long long)wal.size(), recover_ms);
+  return {true, live, redo_scan, wal.size()};
+}
+
+/// The smoke cell: cleaner on, 2 producers, a short window.
+int Smoke() {
+  Cell c = RunVariant(/*cleaner=*/true, /*producers=*/2, /*window_ms=*/1000);
+  uint64_t live_bound = kSmokeLiveMultiple * kPressureSegments;
+  bool ok = c.ran && c.live <= live_bound && c.redo_scan <= c.log_bytes / 4;
+  std::printf("smoke: live segments %llu (bound %llu), redo scan %llu of "
+              "%llu B (bound a quarter): %s\n",
+              (unsigned long long)c.live, (unsigned long long)live_bound,
+              (unsigned long long)c.redo_scan,
+              (unsigned long long)c.log_bytes, ok ? "OK" : "FAILED");
+  return ok ? 0 : 1;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   std::printf("=== Ablation C: bounded-log endurance — cleaner / checkpoint "
               "/ recycle loop (real engine, this machine) ===\n\n");
   std::printf("segments=%zu B, checkpoint daemon every 20 ms, pressure "
-              "threshold 4 live segments.\n\n",
-              kSegmentBytes);
+              "threshold %zu live segments.\n\n",
+              kSegmentBytes, kPressureSegments);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) return Smoke();
+  }
+  uint64_t window_ms = bench::FullMode() ? 2000 : 400;
   for (int producers : {1, 2, 4}) {
     for (bool cleaner : {false, true}) {
-      RunVariant(cleaner, producers);
+      RunVariant(cleaner, producers, window_ms);
     }
     std::printf("\n");
   }
   std::printf("expected: with the cleaner ON the live segment count stays "
-              "near the pressure\nthreshold while recycled grows with the "
-              "run, and redo-scan bytes stay a small\nfraction of total log "
-              "bytes; OFF, dirty pages pin the low-water mark, segments\n"
-              "accumulate, and recovery scans (nearly) everything.\n");
+              "bounded (it follows\nthe checkpoint cadence) while recycled "
+              "grows with the run, and redo-scan bytes\nstay a small fraction "
+              "of total log bytes; OFF, dirty pages pin the low-water\nmark, "
+              "segments accumulate, and recovery scans (nearly) everything.\n");
   return 0;
 }

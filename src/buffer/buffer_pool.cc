@@ -64,10 +64,13 @@ void PageHandle::Unfix() {
 // ------------------------------------------------------------ BufferPool --
 
 BufferPool::BufferPool(io::Volume* volume, BufferPoolOptions options,
-                       LogFlushFn log_flush)
+                       LogFlushFn log_flush, DurableLsnFn durable_lsn,
+                       uint64_t redo_budget)
     : volume_(volume),
       options_(options),
       log_flush_(std::move(log_flush)),
+      durable_lsn_(std::move(durable_lsn)),
+      redo_budget_(durable_lsn_ ? redo_budget : 0),
       // 4096-aligned so every frame is O_DIRECT-capable in place.
       arena_(static_cast<uint8_t*>(
           std::aligned_alloc(4096, options.frame_count * kPageSize))),
@@ -83,8 +86,8 @@ BufferPool::BufferPool(io::Volume* volume, BufferPoolOptions options,
     // The background cleaner: woken by the interval tick, by MarkDirty's
     // dirty-ratio trigger, or by WakeCleaner() (log-segment pressure
     // from the flush pipeline); each wake-up runs one incremental pass
-    // over the oldest dirty pages — never a busy-wait, never a pool-wide
-    // stall.
+    // over the oldest dirty pages the horizon rule selects — never a
+    // busy-wait, never a pool-wide stall.
     cleaner_daemon_ = std::make_unique<sync::PeriodicDaemon>();
     cleaner_daemon_->Start(
         std::chrono::microseconds(options_.cleaner_interval_us),
@@ -543,6 +546,43 @@ Lsn BufferPool::ScanMinRecLsn() const {
   return Lsn{min_lsn};
 }
 
+bool BufferPool::ClockPassed(PageNum page) {
+  int frame = table_->FindOptimistic(page);
+  if (frame < 0) frame = table_->FindAndPin(page, [](int) {});
+  if (frame < 0) return false;  // Evicted (and thus written) meanwhile.
+  const Frame& f = frames_[frame];
+  return f.page.load(std::memory_order_acquire) == page &&
+         !f.referenced.load(std::memory_order_relaxed);
+}
+
+std::vector<PageNum> BufferPool::SelectForWriteBack(size_t max_pages) {
+  const bool select = max_pages != 0 && redo_budget_ != 0;
+  std::vector<DirtyPageTable::Entry> dirty =
+      dpt_.OldestPages(select ? 0 : max_pages);
+  std::vector<PageNum> pages;
+  pages.reserve(select ? std::min(max_pages, dirty.size()) : dirty.size());
+  if (!select) {
+    for (const DirtyPageTable::Entry& e : dirty) pages.push_back(e.page);
+    return pages;
+  }
+  // Horizon rule (checkpoint-age flushing): a hot page is rewritten only
+  // once its rec_lsn falls a redo budget behind the durable log, unless
+  // eviction is about to need it clean or the pool is running dirty.
+  // Anchored at the log, not at the dirty-page table: a hot set that
+  // never cleans would freeze a DPT-relative anchor, and the log would
+  // never recycle.
+  uint64_t durable = durable_lsn_().value;
+  uint64_t horizon = durable > redo_budget_ ? durable - redo_budget_ : 0;
+  bool crowded = dirty.size() > frames_.size() / 4;
+  for (const DirtyPageTable::Entry& e : dirty) {
+    if (pages.size() >= max_pages) break;
+    if (crowded || e.rec_lsn < horizon || ClockPassed(e.page)) {
+      pages.push_back(e.page);
+    }
+  }
+  return pages;
+}
+
 Status BufferPool::CleanerPass(size_t max_pages) {
   stats_.cleaner_sweeps.fetch_add(1, std::memory_order_relaxed);
 
@@ -552,13 +592,16 @@ Status BufferPool::CleanerPass(size_t max_pages) {
   // because the cleaner ends up holding many latches at once and must
   // never block on one (a fixer holding this page exclusive may itself be
   // waiting on a latch the cleaner already gathered), and TryAdd because
-  // an eviction may already have the page in transit.
+  // an eviction may already have the page in transit. The cleaner's pins
+  // are not uses of the page: they leave the CLOCK reference bit alone,
+  // or every page it writes would look hot to eviction and to the
+  // horizon rule.
   struct Gathered {
     PageNum page;
     int frame;
   };
   std::vector<Gathered> batch;
-  for (PageNum page : dpt_.OldestPages(max_pages)) {
+  for (PageNum page : SelectForWriteBack(max_pages)) {
     // Pin through the locked path so eviction cannot race us.
     int frame = table_->FindAndPin(page, [&](int fr) {
       frames_[fr].pins.fetch_add(1, std::memory_order_acquire);
@@ -566,14 +609,14 @@ Status BufferPool::CleanerPass(size_t max_pages) {
     if (frame < 0) continue;  // Evicted (and thus written) meanwhile.
     Frame& pf = frames_[frame];
     if (!pf.latch.TryAcquire(sync::LatchMode::kShared)) {
-      pf.Unpin();  // Contended: the next pass will retry this page.
+      pf.UnpinUntouched();  // Contended: the next pass will retry this page.
       continue;
     }
     if (pf.page.load(std::memory_order_acquire) != page ||
         !pf.dirty.load(std::memory_order_acquire) ||
         !in_transit_.TryAdd(page)) {
       pf.latch.ReleaseShared();
-      pf.Unpin();
+      pf.UnpinUntouched();
       continue;
     }
     batch.push_back({page, frame});
@@ -600,7 +643,7 @@ Status BufferPool::CleanerPass(size_t max_pages) {
       for (const Gathered& g : batch) {
         in_transit_.Remove(g.page);
         frames_[g.frame].latch.ReleaseShared();
-        frames_[g.frame].Unpin();
+        frames_[g.frame].UnpinUntouched();
       }
       return st;
     }
@@ -624,15 +667,17 @@ Status BufferPool::CleanerPass(size_t max_pages) {
                      [this, page, frame](PageNum, Status st) {
                        Frame& pf = frames_[frame];
                        if (st.ok()) {
+                         // Counted before the DPT erase: whoever sees the
+                         // page leave the table also sees the write.
+                         stats_.cleaner_writes.fetch_add(
+                             1, std::memory_order_relaxed);
                          pf.dirty.store(false, std::memory_order_release);
                          pf.rec_lsn.store(0, std::memory_order_relaxed);
                          dpt_.Erase(page);
-                         stats_.cleaner_writes.fetch_add(
-                             1, std::memory_order_relaxed);
                        }
                        in_transit_.Remove(page);
                        pf.latch.ReleaseShared();
-                       pf.Unpin();
+                       pf.UnpinUntouched();
                      });
   }
   ring->Submit();

@@ -42,11 +42,15 @@ struct BufferPoolOptions {
   /// (§7.6); if false the hand is held across the whole eviction.
   bool release_clock_hand_early = true;
   /// Background page cleaner (asynchronous dirty write-back, §2.2.1): a
-  /// cv-driven daemon that incrementally writes back the OLDEST dirty
-  /// pages (by rec_lsn, from the dirty-page table) so the redo low-water
-  /// mark keeps advancing. Woken by its interval, by MarkDirty once more
-  /// than a quarter of the frames are dirty, and by WakeCleaner()
-  /// (log-segment pressure).
+  /// cv-driven daemon that runs one CleanerPass(cleaner_batch) per
+  /// wake-up, oldest rec_lsn first. In a pool built with a log horizon
+  /// (see the BufferPool constructor) a pass writes a dirty page only when
+  /// its rec_lsn lags the durable LSN by more than the redo budget, when
+  /// the CLOCK hand has cleared its reference bit (eviction is coming for
+  /// it), or when more than a quarter of the frames are dirty, so hot
+  /// pages are rewritten once per budget of log, not once per pass. Woken
+  /// by its interval, by MarkDirty once more than a quarter of the frames
+  /// are dirty, and by WakeCleaner() (log-segment pressure).
   bool enable_cleaner = false;
   uint64_t cleaner_interval_us = 2000;
   /// Dirty frames written back per cleaner pass (0 = all — a full sweep).
@@ -187,9 +191,18 @@ class BufferPool {
   /// `log_flush` (optional) is invoked with a page's LSN before its dirty
   /// image is written out, enforcing write-ahead logging.
   using LogFlushFn = std::function<Status(Lsn)>;
+  /// Reports the log's durable LSN (the anchor of the cleaner's horizon).
+  using DurableLsnFn = std::function<Lsn()>;
 
+  /// `durable_lsn` and a non-zero `redo_budget` (bytes of log) turn on the
+  /// cleaner's horizon rule: an incremental pass writes a dirty page only
+  /// when its rec_lsn is older than durable − budget, when the CLOCK hand
+  /// has cleared its reference bit, or when more than a quarter of the
+  /// frames are dirty. Without them (budget 0) every pass writes the
+  /// oldest dirty pages unconditionally.
   BufferPool(io::Volume* volume, BufferPoolOptions options,
-             LogFlushFn log_flush = nullptr);
+             LogFlushFn log_flush = nullptr, DurableLsnFn durable_lsn = nullptr,
+             uint64_t redo_budget = 0);
 
   ~BufferPool();
 
@@ -245,8 +258,11 @@ class BufferPool {
 
   /// One incremental cleaner round: writes back up to `max_pages` dirty
   /// pages in ascending rec_lsn order (0 = all), WAL-correctly (log
-  /// flushed to each page's LSN first). The background daemon calls this
-  /// on every wake-up; tests and checkpoint cold starts call it directly.
+  /// flushed to each page's LSN first). With a redo budget, a round with
+  /// `max_pages` != 0 writes only the pages the horizon rule selects (see
+  /// the constructor). The cleaner's pins do not set reference bits. The
+  /// background daemon calls this on every wake-up; tests and checkpoint
+  /// cold starts call it directly.
   Status CleanerPass(size_t max_pages);
 
   /// Wakes the background cleaner daemon immediately (no-op without one).
@@ -315,6 +331,11 @@ class BufferPool {
   Result<int> AllocateFrame();
   /// Writes frame's dirty image to the volume (log flushed first).
   Status WriteBack(int frame, PageNum page);
+  /// The dirty pages one CleanerPass(max_pages) writes, oldest first.
+  std::vector<PageNum> SelectForWriteBack(size_t max_pages);
+  /// True when `page` is cached and the CLOCK hand has cleared its
+  /// reference bit since its last use (eviction will come for it).
+  bool ClockPassed(PageNum page);
   /// Prefetch completion (runs on the I/O worker): publishes the frame's
   /// mapping on success, recycles the frame otherwise, clears the
   /// in-transit entry last.
@@ -342,6 +363,10 @@ class BufferPool {
   io::Volume* volume_;
   BufferPoolOptions options_;
   LogFlushFn log_flush_;
+  DurableLsnFn durable_lsn_;
+  /// Log bytes a dirty page's rec_lsn may lag the durable LSN before the
+  /// cleaner must write it (0 = no horizon rule).
+  uint64_t redo_budget_;
   /// aligned_alloc'd to the O_DIRECT block size so every frame is a valid
   /// direct-I/O buffer (kPageSize is a multiple of the alignment).
   std::unique_ptr<uint8_t[], FreeDeleter> arena_;

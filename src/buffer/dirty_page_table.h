@@ -28,6 +28,11 @@ namespace shoremt::buffer {
 /// page enters once per dirty lifecycle, not once per update.
 class DirtyPageTable {
  public:
+  struct Entry {
+    PageNum page;
+    uint64_t rec_lsn;
+  };
+
   /// Registers `page` first-dirtied at `rec_lsn`; returns the table size
   /// after the insert (the cleaner's dirty-ratio trigger reads it without
   /// a second lock round-trip). Re-inserting an existing page keeps the
@@ -63,16 +68,17 @@ class DirtyPageTable {
     return by_page_.size();
   }
 
-  /// Up to `n` dirty pages in ascending rec_lsn order (n == 0 → all): the
-  /// cleaner's incremental work list. A snapshot — entries may clean or
-  /// re-dirty concurrently; callers re-verify under the frame latch.
-  std::vector<PageNum> OldestPages(size_t n) const {
+  /// Up to `n` dirty pages with their rec_lsns in ascending rec_lsn order
+  /// (n == 0 → all): the cleaner's work list. A snapshot — entries may
+  /// clean or re-dirty concurrently; callers re-verify under the frame
+  /// latch.
+  std::vector<Entry> OldestPages(size_t n) const {
     std::lock_guard<std::mutex> guard(mutex_);
-    std::vector<PageNum> out;
+    std::vector<Entry> out;
     out.reserve(n == 0 ? by_page_.size() : std::min(n, by_page_.size()));
     for (const auto& [lsn, pages] : by_lsn_) {
       for (PageNum p : pages) {
-        out.push_back(p);
+        out.push_back({p, lsn});
         if (n != 0 && out.size() >= n) return out;
       }
     }

@@ -25,7 +25,10 @@ struct Frame {
   /// Dirty since last write-back.
   std::atomic<bool> dirty{false};
 
-  /// CLOCK reference bit; set on unpin, cleared by the sweeping hand.
+  /// CLOCK reference bit; set when a user of the page unpins it, cleared
+  /// by the sweeping hand. The cleaner's pins leave it alone
+  /// (UnpinUntouched): a page it wrote is no more recently used than
+  /// before.
   std::atomic<bool> referenced{false};
 
   /// LSN of the first update that dirtied the current contents (recovery's
@@ -57,8 +60,11 @@ struct Frame {
 
   void Unpin() {
     referenced.store(true, std::memory_order_relaxed);
-    pins.fetch_sub(1, std::memory_order_release);
+    UnpinUntouched();
   }
+
+  /// Drops a pin that was not a use of the page (the cleaner's).
+  void UnpinUntouched() { pins.fetch_sub(1, std::memory_order_release); }
 };
 
 }  // namespace shoremt::buffer

@@ -27,13 +27,17 @@ bool GetU64(std::span<const uint8_t> data, size_t* pos, uint64_t* v) {
 
 namespace {
 
-/// Writes all of `data` (send with MSG_NOSIGNAL so a dead peer is an
-/// error, not a process-killing SIGPIPE).
+/// Writes all of `data` (send with MSG_NOSIGNAL so a dead peer is a
+/// status, not a process-killing SIGPIPE). A peer that has gone (EPIPE,
+/// ECONNRESET) is NotFound, the same clean disconnect a recv EOF is.
 Status SendAll(int fd, const uint8_t* data, size_t len) {
   while (len > 0) {
     ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (errno == EPIPE || errno == ECONNRESET) {
+        return Status::NotFound("peer closed");
+      }
       return Status::IOError(std::string("repl send: ") + strerror(errno));
     }
     if (n == 0) return Status::IOError("repl send: peer closed");

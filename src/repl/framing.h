@@ -57,7 +57,8 @@ void PutU64(std::vector<uint8_t>* out, uint64_t v);
 bool GetU64(std::span<const uint8_t> data, size_t* pos, uint64_t* v);
 
 /// Writes one frame (blocking, handles partial writes; never raises
-/// SIGPIPE — a dead peer surfaces as IOError).
+/// SIGPIPE). A peer that has gone is NotFound, as on the read side; other
+/// socket errors are IOError.
 Status WriteFrame(int fd, FrameType type, std::span<const uint8_t> payload);
 /// Convenience: frame whose payload is `head` (u64s) followed by `bytes`.
 Status WriteFrame(int fd, FrameType type, std::span<const uint64_t> head,

@@ -144,8 +144,9 @@ Status Replica::ReceiveLoop() {
     }
     if (!accepted) {
       uint64_t resend[1] = {storage_->size()};
-      SHOREMT_RETURN_NOT_OK(
-          WriteFrame(fd_, FrameType::kResend, resend, {}));
+      Status sent = WriteFrame(fd_, FrameType::kResend, resend, {});
+      if (sent.IsNotFound()) return Status::Ok();  // primary closed (or died)
+      SHOREMT_RETURN_NOT_OK(sent);
       continue;
     }
     frames_applied_.fetch_add(1, std::memory_order_relaxed);

@@ -185,12 +185,13 @@ Status SegmentShipper::ShipNext(bool* progressed) {
 
 Status SegmentShipper::Serve() {
   Status st = ServeSession();
-  // Reconnect mode: a dead connection (clean peer EOF — Ok — or a socket
-  // error) parks the loop waiting for a replacement fd instead of ending
-  // replication. Protocol violations (Corruption) still end it: a peer
-  // that speaks garbage will speak garbage again. The replica's kHello on
-  // the new connection carries its cursor, so shipping resumes exactly
-  // where the replica's durable state ends — no bytes skipped or doubled.
+  // Reconnect mode: a dead connection (a peer that closed or reset — Ok —
+  // or another socket error) parks the loop waiting for a replacement fd
+  // instead of ending replication. Protocol violations (Corruption) still
+  // end it: a peer that speaks garbage will speak garbage again. The
+  // replica's kHello on the new connection carries its cursor, so shipping
+  // resumes exactly where the replica's durable state ends — no bytes
+  // skipped or doubled.
   while (opts_.reconnect && !stop_.load(std::memory_order_acquire) &&
          (st.ok() || st.code() == StatusCode::kIOError)) {
     if (!WaitForReplacementFd()) break;
@@ -218,8 +219,13 @@ Status SegmentShipper::ServeSession() {
   while (!stop_.load(std::memory_order_acquire)) {
     bool progressed = false;
     Status ship = ShipNext(&progressed);
+    // NotFound from ShipNext is only ever the framing layer's "peer
+    // closed": a replica that went away mid-send disconnects as cleanly as
+    // one whose EOF DrainControl reads.
     if (!ship.ok()) {
-      return stop_.load(std::memory_order_acquire) ? Status::Ok() : ship;
+      return stop_.load(std::memory_order_acquire) || ship.IsNotFound()
+                 ? Status::Ok()
+                 : ship;
     }
     // Drain acks/resends; when nothing was shipped, park in poll() so an
     // idle primary costs no CPU.

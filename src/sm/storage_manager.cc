@@ -148,9 +148,15 @@ StorageManager::StorageManager(StorageOptions options, io::Volume* volume,
                                log::LogStorage* log_storage)
     : options_(options), volume_(volume), log_storage_(log_storage) {
   log_ = std::make_unique<log::LogManager>(log_storage_, options_.log);
+  // The cleaner's redo budget: half the log the pressure threshold allows,
+  // so the horizon rule keeps the live segments below the point where the
+  // flush pipeline starts reporting pressure.
   pool_ = std::make_unique<buffer::BufferPool>(
       volume_, options_.buffer,
-      [this](Lsn lsn) { return log_->FlushTo(lsn); });
+      [this](Lsn lsn) { return log_->FlushTo(lsn); },
+      [this] { return log_->durable_lsn(); },
+      options_.log.recycle_pressure_segments * log_storage_->segment_bytes() /
+          2);
   space_ = std::make_unique<space::SpaceManager>(volume_, options_.space);
   locks_ = std::make_unique<lock::LockManager>(options_.lock);
   txns_ = std::make_unique<txn::TxnManager>(log_.get(), locks_.get(),

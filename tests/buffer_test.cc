@@ -636,5 +636,114 @@ TEST(BufferPoolSingleTest, CleanerBatchesCoalesceAdjacentPages) {
   EXPECT_GE(pool.stats().cleaner_batches.load(), 1u);
 }
 
+// ---------------------------------------------- horizon-driven selection --
+
+/// Formats `page` with one 8-byte row holding `value`, dirty at `lsn`.
+void CreateRow(BufferPool& pool, PageNum page, uint64_t value, Lsn lsn) {
+  auto h = pool.NewPage(page);
+  ASSERT_TRUE(h.ok());
+  page::SlottedPage sp(h->data());
+  sp.Init(page, 1, page::PageType::kData);
+  ASSERT_TRUE(
+      sp.Insert({reinterpret_cast<uint8_t*>(&value), sizeof(value)}).ok());
+  h->MarkDirty(lsn, lsn);
+}
+
+TEST(CleanerSelectionTest, PassSkipsHotPagesInsideTheBudget) {
+  io::MemVolume vol;
+  ASSERT_TRUE(vol.Extend(64).ok());
+  std::atomic<uint64_t> durable{100};
+  BufferPool pool(&vol, SmallPool(16), nullptr,
+                  [&] { return Lsn{durable.load()}; }, /*redo_budget=*/1000);
+  for (PageNum p = 1; p <= 3; ++p) CreateRow(pool, p, p, Lsn{p * 10});
+
+  // Recently used, inside the budget, 3 of 16 frames dirty: nothing to do.
+  ASSERT_TRUE(pool.CleanerPass(8).ok());
+  EXPECT_EQ(pool.stats().cleaner_writes.load(), 0u);
+  EXPECT_EQ(pool.DirtyPageCount(), 3u);
+
+  // The log moves a budget past page 1's rec_lsn (10) but not page 2's.
+  durable = 1015;
+  ASSERT_TRUE(pool.CleanerPass(8).ok());
+  EXPECT_EQ(pool.stats().cleaner_writes.load(), 1u);
+  EXPECT_EQ(pool.DirtyMinRecLsn().value, 20u);
+
+  // A sweep writes every dirty page whatever the rule says.
+  ASSERT_TRUE(pool.CleanerSweep().ok());
+  EXPECT_EQ(pool.DirtyPageCount(), 0u);
+  EXPECT_EQ(pool.stats().cleaner_writes.load(), 3u);
+}
+
+TEST(CleanerSelectionTest, PassWritesOldestWhenTheQuarterIsDirty) {
+  io::MemVolume vol;
+  ASSERT_TRUE(vol.Extend(64).ok());
+  BufferPool pool(&vol, SmallPool(16), nullptr, [] { return Lsn{100}; },
+                  /*redo_budget=*/1000);
+  for (PageNum p = 1; p <= 5; ++p) CreateRow(pool, p, p, Lsn{p * 10});
+  // 5 of 16 frames dirty (more than a quarter): the oldest go first.
+  ASSERT_TRUE(pool.CleanerPass(2).ok());
+  EXPECT_EQ(pool.stats().cleaner_writes.load(), 2u);
+  EXPECT_EQ(pool.DirtyMinRecLsn().value, 30u);
+  // Back at 3 dirty: the rest are hot and inside the budget.
+  ASSERT_TRUE(pool.CleanerPass(8).ok());
+  EXPECT_EQ(pool.DirtyPageCount(), 3u);
+}
+
+TEST(CleanerSelectionTest, PassWritesPagesTheClockHasPassed) {
+  io::MemVolume vol;
+  ASSERT_TRUE(vol.Extend(64).ok());
+  BufferPool pool(&vol, SmallPool(16), nullptr, [] { return Lsn{200}; },
+                  /*redo_budget=*/1000);
+  // Fill the pool: pages 1 and 2 dirty, the rest clean.
+  for (PageNum p = 1; p <= 16; ++p) {
+    auto h = pool.NewPage(p);
+    ASSERT_TRUE(h.ok());
+    page::FormatPage(h->data(), p, 1, page::PageType::kData);
+    if (p <= 2) h->MarkDirty(Lsn{p * 10}, Lsn{p * 10});
+  }
+  // One miss sends the hand round the full pool, clearing every
+  // reference bit before it takes a clean victim.
+  {
+    auto h = pool.NewPage(17);
+    ASSERT_TRUE(h.ok());
+    page::FormatPage(h->data(), 17, 1, page::PageType::kData);
+    h->MarkDirty(Lsn{170}, Lsn{170});  // Hot: just used.
+  }
+  EXPECT_EQ(pool.stats().dirty_writebacks.load(), 0u);
+  ASSERT_EQ(pool.DirtyPageCount(), 3u);
+  // Pages 1 and 2 are inside the budget, but the clock has passed them:
+  // eviction is coming, so the cleaner writes them now. Page 17 waits.
+  ASSERT_TRUE(pool.CleanerPass(8).ok());
+  EXPECT_EQ(pool.stats().cleaner_writes.load(), 2u);
+  EXPECT_EQ(pool.DirtyPageCount(), 1u);
+  EXPECT_EQ(pool.DirtyMinRecLsn().value, 170u);
+}
+
+TEST(CleanerSelectionTest, CleanerPassLeavesReferenceBitsUnchanged) {
+  io::MemVolume vol;
+  ASSERT_TRUE(vol.Extend(64).ok());
+  BufferPool pool(&vol, SmallPool(3));
+  // The free list hands out frames last-in first-out, so pages 1, 2, 3
+  // land in frames 2, 1, 0. Only page 2 is dirty.
+  for (PageNum p = 1; p <= 3; ++p) {
+    auto h = pool.NewPage(p);
+    ASSERT_TRUE(h.ok());
+    page::FormatPage(h->data(), p, 1, page::PageType::kData);
+    if (p == 2) h->MarkDirty(Lsn{20}, Lsn{20});
+  }
+  // Page 4's miss clears all three bits, evicts page 3 (frame 0) and
+  // leaves the hand at frame 1 (page 2).
+  ASSERT_TRUE(pool.NewPage(4).ok());
+  ASSERT_TRUE(pool.CleanerSweep().ok());
+  EXPECT_EQ(pool.stats().cleaner_writes.load(), 1u);
+  // Had the sweep's pin marked page 2 used, the hand would pass it and
+  // take page 1, the only page it still finds unreferenced. The write
+  // was not a use, so page 2 goes first and page 1 stays cached.
+  ASSERT_TRUE(pool.NewPage(5).ok());
+  uint64_t misses = pool.stats().misses.load();
+  ASSERT_TRUE(pool.FixPage(1, LatchMode::kShared).ok());
+  EXPECT_EQ(pool.stats().misses.load(), misses) << "page 1 was evicted";
+}
+
 }  // namespace
 }  // namespace shoremt::buffer

@@ -6,6 +6,7 @@
 /// bounded-executor dispatch of OnDurable closures.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -195,6 +196,31 @@ TEST(ArchiveTest, RestoreToLsnReconstructsMidRunState) {
 }
 
 // ------------------------------------------------- streaming + horizon ----
+
+/// A replica that goes away while the shipper is sending: the send fails
+/// with EPIPE, and that ends the session as cleanly as a recv EOF does.
+TEST(ReplTest, ShipperTreatsDepartedReplicaAsCleanDisconnect) {
+  Loopback net;
+  LogStorage wal(0, 4096);
+  LogManager log(&wal, LogOptions{});
+  repl::SegmentShipper shipper(&log, net.fds[0]);
+  // The replica says hello and stops reading. Its write side stays open,
+  // so the shipper reads no EOF; it learns of the departure by sending.
+  uint64_t hello[1] = {0};
+  ASSERT_TRUE(
+      repl::WriteFrame(net.fds[1], repl::FrameType::kHello, hello, {}).ok());
+  ASSERT_EQ(::shutdown(net.fds[1], SHUT_RD), 0);
+  LogRecord rec;
+  rec.type = LogRecordType::kPageUpdate;
+  rec.txn = 1;
+  rec.page = 1;
+  rec.after = {1, 2, 3};
+  ASSERT_TRUE(log.Append(rec).ok());
+  ASSERT_TRUE(log.FlushAll().ok());
+  Status st = shipper.Serve();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(shipper.segments_shipped(), 0u);
+}
 
 TEST(ReplTest, ReplicaServesCommittedPrefixAtHorizon) {
   Loopback net;
