@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 
 #include "io/retry.h"
@@ -546,43 +547,6 @@ Lsn BufferPool::ScanMinRecLsn() const {
   return Lsn{min_lsn};
 }
 
-bool BufferPool::ClockPassed(PageNum page) {
-  int frame = table_->FindOptimistic(page);
-  if (frame < 0) frame = table_->FindAndPin(page, [](int) {});
-  if (frame < 0) return false;  // Evicted (and thus written) meanwhile.
-  const Frame& f = frames_[frame];
-  return f.page.load(std::memory_order_acquire) == page &&
-         !f.referenced.load(std::memory_order_relaxed);
-}
-
-std::vector<PageNum> BufferPool::SelectForWriteBack(size_t max_pages) {
-  const bool select = max_pages != 0 && redo_budget_ != 0;
-  std::vector<DirtyPageTable::Entry> dirty =
-      dpt_.OldestPages(select ? 0 : max_pages);
-  std::vector<PageNum> pages;
-  pages.reserve(select ? std::min(max_pages, dirty.size()) : dirty.size());
-  if (!select) {
-    for (const DirtyPageTable::Entry& e : dirty) pages.push_back(e.page);
-    return pages;
-  }
-  // Horizon rule (checkpoint-age flushing): a hot page is rewritten only
-  // once its rec_lsn falls a redo budget behind the durable log, unless
-  // eviction is about to need it clean or the pool is running dirty.
-  // Anchored at the log, not at the dirty-page table: a hot set that
-  // never cleans would freeze a DPT-relative anchor, and the log would
-  // never recycle.
-  uint64_t durable = durable_lsn_().value;
-  uint64_t horizon = durable > redo_budget_ ? durable - redo_budget_ : 0;
-  bool crowded = dirty.size() > frames_.size() / 4;
-  for (const DirtyPageTable::Entry& e : dirty) {
-    if (pages.size() >= max_pages) break;
-    if (crowded || e.rec_lsn < horizon || ClockPassed(e.page)) {
-      pages.push_back(e.page);
-    }
-  }
-  return pages;
-}
-
 Status BufferPool::CleanerPass(size_t max_pages) {
   stats_.cleaner_sweeps.fetch_add(1, std::memory_order_relaxed);
 
@@ -596,30 +560,102 @@ Status BufferPool::CleanerPass(size_t max_pages) {
   // are not uses of the page: they leave the CLOCK reference bit alone,
   // or every page it writes would look hot to eviction and to the
   // horizon rule.
+  //
+  // Horizon rule (checkpoint-age flushing), for an incremental pass in a
+  // pool with a redo budget: a page is written only when its rec_lsn is
+  // older than durable − budget, when the CLOCK hand has cleared its
+  // reference bit since its last use (eviction is coming for it), or when
+  // more than a quarter of the frames are dirty. Anchored at the log, not
+  // at the dirty-page table: a hot set that never cleans would freeze a
+  // DPT-relative anchor, and the log would never recycle. Without the
+  // rule, a pass takes the `max_pages` oldest pages as they come.
+  const bool select = max_pages != 0 && redo_budget_ != 0;
+  uint64_t horizon = 0;
+  bool crowded = true;
+  if (select) {
+    uint64_t durable = durable_lsn_().value;
+    horizon = durable > redo_budget_ ? durable - redo_budget_ : 0;
+    crowded = dpt_.size() > frames_.size() / 4;
+  }
+  const size_t limit = max_pages == 0 ? SIZE_MAX : max_pages;
   struct Gathered {
     PageNum page;
     int frame;
   };
   std::vector<Gathered> batch;
-  for (PageNum page : SelectForWriteBack(max_pages)) {
+  // Pins, latches and claims one dirty page for the batch; `cold_only`
+  // passes over a page whose reference bit is set.
+  auto gather = [&](const DirtyPageTable::Entry& e, bool cold_only) {
+    if (cold_only) {
+      // Most pages a cold-only scan meets are hot. A lock-free peek skips
+      // them without the table lock or a pin on a frame the evictor may
+      // be about to take; a stale peek only leaves a page for a later
+      // pass, and a page that looks cold is checked again once pinned.
+      int peek = table_->FindOptimistic(e.page);
+      if (peek >= 0 &&
+          frames_[peek].page.load(std::memory_order_acquire) == e.page &&
+          frames_[peek].referenced.load(std::memory_order_relaxed)) {
+        return;
+      }
+    }
     // Pin through the locked path so eviction cannot race us.
-    int frame = table_->FindAndPin(page, [&](int fr) {
+    int frame = table_->FindAndPin(e.page, [&](int fr) {
       frames_[fr].pins.fetch_add(1, std::memory_order_acquire);
     });
-    if (frame < 0) continue;  // Evicted (and thus written) meanwhile.
+    if (frame < 0) return;  // Evicted (and thus written) meanwhile.
     Frame& pf = frames_[frame];
-    if (!pf.latch.TryAcquire(sync::LatchMode::kShared)) {
-      pf.UnpinUntouched();  // Contended: the next pass will retry this page.
-      continue;
+    if (cold_only && pf.referenced.load(std::memory_order_relaxed)) {
+      pf.UnpinUntouched();  // Hot and inside the budget: not yet.
+      return;
     }
-    if (pf.page.load(std::memory_order_acquire) != page ||
+    if (!pf.latch.TryAcquire(sync::LatchMode::kShared)) {
+      pf.UnpinUntouched();  // Contended: the next pass will retry it.
+      return;
+    }
+    if (pf.page.load(std::memory_order_acquire) != e.page ||
         !pf.dirty.load(std::memory_order_acquire) ||
-        !in_transit_.TryAdd(page)) {
+        !in_transit_.TryAdd(e.page)) {
       pf.latch.ReleaseShared();
       pf.UnpinUntouched();
-      continue;
+      return;
     }
-    batch.push_back({page, frame});
+    batch.push_back({e.page, frame});
+  };
+  // Offers the dirty pages from rec_lsn `from` on, oldest first, until
+  // the batch is full, `n` pages were offered, or one at `end` or later
+  // comes up. The table is read a chunk at a time, so MarkDirty's
+  // first-dirty insert never waits behind a copy of the whole table.
+  // Returns the rec_lsn to resume at, or 0 once the walk ran off the end.
+  auto walk = [&](uint64_t from, uint64_t end, size_t n, bool cold_only) {
+    constexpr size_t kWalkChunk = 64;
+    while (batch.size() < limit && n > 0) {
+      std::vector<DirtyPageTable::Entry> chunk =
+          dpt_.OldestPages(std::min(kWalkChunk, n), from);
+      if (chunk.empty()) return uint64_t{0};
+      for (const DirtyPageTable::Entry& e : chunk) {
+        if (e.rec_lsn >= end || batch.size() >= limit || n == 0) {
+          return e.rec_lsn;
+        }
+        --n;
+        gather(e, cold_only);
+        from = e.rec_lsn + 1;
+      }
+    }
+    return from;
+  };
+  if (!select || crowded) {
+    walk(0, UINT64_MAX, limit, /*cold_only=*/false);
+  } else {
+    // Everything behind the horizon, then a bounded look at the younger
+    // pages for ones the clock has passed. That look resumes where the
+    // last pass left off, so a hot set at the front of the table costs
+    // each pass a fixed scan, not one lookup per dirty page.
+    constexpr size_t kColdScan = 128;
+    walk(0, horizon, SIZE_MAX, /*cold_only=*/false);
+    uint64_t from =
+        std::max(horizon, cold_scan_from_.load(std::memory_order_relaxed));
+    cold_scan_from_.store(walk(from, UINT64_MAX, kColdScan, true),
+                          std::memory_order_relaxed);
   }
   if (batch.empty()) return Status::Ok();
 

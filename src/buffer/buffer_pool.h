@@ -331,11 +331,6 @@ class BufferPool {
   Result<int> AllocateFrame();
   /// Writes frame's dirty image to the volume (log flushed first).
   Status WriteBack(int frame, PageNum page);
-  /// The dirty pages one CleanerPass(max_pages) writes, oldest first.
-  std::vector<PageNum> SelectForWriteBack(size_t max_pages);
-  /// True when `page` is cached and the CLOCK hand has cleared its
-  /// reference bit since its last use (eviction will come for it).
-  bool ClockPassed(PageNum page);
   /// Prefetch completion (runs on the I/O worker): publishes the frame's
   /// mapping on success, recycles the frame otherwise, clears the
   /// in-transit entry last.
@@ -367,6 +362,9 @@ class BufferPool {
   /// Log bytes a dirty page's rec_lsn may lag the durable LSN before the
   /// cleaner must write it (0 = no horizon rule).
   uint64_t redo_budget_;
+  /// Where the cleaner's bounded scan of the pages younger than the
+  /// horizon resumes (a rec_lsn; 0 = from the horizon).
+  std::atomic<uint64_t> cold_scan_from_{0};
   /// aligned_alloc'd to the O_DIRECT block size so every frame is a valid
   /// direct-I/O buffer (kPageSize is a multiple of the alignment).
   std::unique_ptr<uint8_t[], FreeDeleter> arena_;

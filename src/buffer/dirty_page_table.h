@@ -68,19 +68,17 @@ class DirtyPageTable {
     return by_page_.size();
   }
 
-  /// Up to `n` dirty pages with their rec_lsns in ascending rec_lsn order
-  /// (n == 0 → all): the cleaner's work list. A snapshot — entries may
-  /// clean or re-dirty concurrently; callers re-verify under the frame
-  /// latch.
-  std::vector<Entry> OldestPages(size_t n) const {
+  /// The `n` oldest dirty pages with their rec_lsns, from rec_lsn `from`
+  /// on (n == 0 → all). Pages sharing the last rec_lsn come whole, even
+  /// past `n`, so a walk can resume at the last entry's rec_lsn + 1
+  /// without skipping a page. A snapshot — entries may clean or re-dirty
+  /// concurrently; callers re-verify under the frame latch.
+  std::vector<Entry> OldestPages(size_t n, uint64_t from = 0) const {
     std::lock_guard<std::mutex> guard(mutex_);
     std::vector<Entry> out;
-    out.reserve(n == 0 ? by_page_.size() : std::min(n, by_page_.size()));
-    for (const auto& [lsn, pages] : by_lsn_) {
-      for (PageNum p : pages) {
-        out.push_back({p, lsn});
-        if (n != 0 && out.size() >= n) return out;
-      }
+    for (auto it = by_lsn_.lower_bound(from); it != by_lsn_.end(); ++it) {
+      if (n != 0 && out.size() >= n) break;
+      for (PageNum p : it->second) out.push_back({p, it->first});
     }
     return out;
   }

@@ -719,6 +719,39 @@ TEST(CleanerSelectionTest, PassWritesPagesTheClockHasPassed) {
   EXPECT_EQ(pool.DirtyMinRecLsn().value, 170u);
 }
 
+TEST(CleanerSelectionTest, PassLooksAtYoungPagesAFewAtATime) {
+  io::MemVolume vol;
+  ASSERT_TRUE(vol.Extend(2100).ok());
+  BufferPool pool(&vol, SmallPool(2048), nullptr, [] { return Lsn{1000}; },
+                  /*redo_budget=*/1 << 20);
+  // Fill the pool: pages 1..401 dirty (rec_lsn = page id, all inside the
+  // budget, under a quarter of the frames), the rest clean.
+  constexpr PageNum kCold = 401;
+  for (PageNum p = 1; p <= 2048; ++p) {
+    auto h = pool.NewPage(p);
+    ASSERT_TRUE(h.ok());
+    page::FormatPage(h->data(), p, 1, page::PageType::kData);
+    if (p <= kCold) h->MarkDirty(Lsn{p}, Lsn{p});
+  }
+  // One miss sends the hand round the pool, clearing every reference bit;
+  // then every dirty page but the youngest is used again.
+  ASSERT_TRUE(pool.NewPage(2049).ok());
+  for (PageNum p = 1; p < kCold; ++p) {
+    ASSERT_TRUE(pool.FixPage(p, LatchMode::kShared).ok());
+  }
+  // A pass looks at a bounded number of the pages younger than the
+  // horizon, so the hot ones in front hide the cold page from it...
+  ASSERT_TRUE(pool.CleanerPass(8).ok());
+  EXPECT_EQ(pool.stats().cleaner_writes.load(), 0u);
+  // ...and the passes after it resume behind them until they reach it.
+  for (int pass = 0; pass < 8 && pool.DirtyPageCount() == kCold; ++pass) {
+    ASSERT_TRUE(pool.CleanerPass(8).ok());
+  }
+  EXPECT_EQ(pool.stats().cleaner_writes.load(), 1u);
+  EXPECT_EQ(pool.DirtyPageCount(), kCold - 1);
+  EXPECT_EQ(pool.DirtyMinRecLsn().value, 1u);
+}
+
 TEST(CleanerSelectionTest, CleanerPassLeavesReferenceBitsUnchanged) {
   io::MemVolume vol;
   ASSERT_TRUE(vol.Extend(64).ok());

@@ -448,7 +448,7 @@ TEST(CheckpointRecycleTest, HotSetKeepsTheLogBounded) {
     peak = std::max(peak, db->log()->live_segments());
   }
   // ~2,350 segments are allocated over the loop. Live segments track the
-  // checkpoint cadence (30–55 on a 4-vCPU host, ~30 before the horizon
+  // checkpoint cadence (35–60 on a 4-vCPU host, ~30 before the horizon
   // rule); an anchor that freezes never recycles and keeps them all.
   uint64_t allocated = db->log()->stats().segments_allocated.load();
   EXPECT_GT(db->log()->stats().segments_recycled.load(), allocated / 2);
