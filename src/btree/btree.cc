@@ -191,7 +191,8 @@ Result<PageHandle> BTree::NewNode(txn::Transaction* txn, uint16_t level,
   return std::move(out);
 }
 
-Status BTree::SplitRoot(txn::Transaction* txn, PageHandle* root_handle) {
+Status BTree::SplitRoot(txn::Transaction* txn, PageHandle* root_handle,
+                        uint64_t key) {
   stats_.splits.fetch_add(1, std::memory_order_relaxed);
   BTreeNode root(root_handle->data());
   PageNum left_page, right_page;
@@ -205,7 +206,7 @@ Status BTree::SplitRoot(txn::Transaction* txn, PageHandle* root_handle) {
   // Clone the root into `left`, then split left → right.
   left.RestoreContent(root.SerializeContent());
   page::HeaderOf(left_h.data())->page_num = left_page;
-  uint64_t sep = left.SplitInto(&right);
+  uint64_t sep = left.SplitInto(&right, key);
   if (root.IsLeaf()) {
     page::HeaderOf(left_h.data())->next_page = right_page;
     page::HeaderOf(right_h.data())->prev_page = left_page;
@@ -243,7 +244,7 @@ Status BTree::SplitChild(txn::Transaction* txn, PageHandle* parent_handle,
   SHOREMT_ASSIGN_OR_RETURN(PageHandle right_h, NewNode(txn, child.level(),
                                                        &right_page));
   BTreeNode right(right_h.data());
-  uint64_t sep = child.SplitInto(&right);
+  uint64_t sep = child.SplitInto(&right, key);
   PageNum child_page = page::HeaderOf(child_handle->data())->page_num;
   if (child.IsLeaf()) {
     // Chain: child -> right -> old successor.
@@ -287,7 +288,7 @@ Result<PageHandle> BTree::InsertUnlogged(uint64_t key, uint64_t value,
   {
     BTreeNode root(h.data());
     // Structure changes during undo are logged redo-only with no txn.
-    if (root.IsFull()) SHOREMT_RETURN_NOT_OK(SplitRoot(nullptr, &h));
+    if (root.IsFull()) SHOREMT_RETURN_NOT_OK(SplitRoot(nullptr, &h, key));
   }
   for (;;) {
     BTreeNode node(h.data());
@@ -338,7 +339,7 @@ Status BTree::Insert(txn::Transaction* txn, uint64_t key, RecordId rid) {
                            pool_->FixPage(root_, LatchMode::kExclusive));
   {
     BTreeNode root(h.data());
-    if (root.IsFull()) SHOREMT_RETURN_NOT_OK(SplitRoot(txn, &h));
+    if (root.IsFull()) SHOREMT_RETURN_NOT_OK(SplitRoot(txn, &h, key));
   }
   for (;;) {
     BTreeNode node(h.data());

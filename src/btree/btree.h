@@ -177,8 +177,10 @@ class BTree {
   /// full). On return *child_handle refers to the node covering `key`.
   Status SplitChild(txn::Transaction* txn, buffer::PageHandle* parent_handle,
                     buffer::PageHandle* child_handle, uint64_t key);
-  /// Splits a full root in place (contents pushed into two new children).
-  Status SplitRoot(txn::Transaction* txn, buffer::PageHandle* root_handle);
+  /// Splits a full root in place (contents pushed into two new children),
+  /// at the insertion point of `key` when the root is a leaf.
+  Status SplitRoot(txn::Transaction* txn, buffer::PageHandle* root_handle,
+                   uint64_t key);
   /// Allocates + formats a new node page (logged); returns its handle.
   Result<buffer::PageHandle> NewNode(txn::Transaction* txn, uint16_t level,
                                      PageNum* page_out);

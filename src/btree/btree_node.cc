@@ -103,9 +103,13 @@ bool BTreeNode::RestoreContent(std::span<const uint8_t> blob) {
   return true;
 }
 
-uint64_t BTreeNode::SplitInto(BTreeNode* right) {
+uint64_t BTreeNode::SplitInto(BTreeNode* right, uint64_t key) {
   uint16_t total = count();
   uint16_t keep = total / 2;
+  if (IsLeaf()) {
+    keep = std::max<uint16_t>(
+        keep, std::min<uint16_t>(LowerBound(key), total - 1));
+  }
   uint16_t move = total - keep;
   NodeHeader* rh = right->node_header();
   rh->level = node_header()->level;

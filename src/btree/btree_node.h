@@ -84,9 +84,14 @@ class BTreeNode {
   /// the count does not fit a page.
   bool RestoreContent(std::span<const uint8_t> blob);
 
-  /// Moves the upper half of this node's entries into `right` (freshly
-  /// initialized, same level) and returns the first key of `right`.
-  uint64_t SplitInto(BTreeNode* right);
+  /// Moves this node's upper entries into `right` (freshly initialized,
+  /// same level) and returns the separator: the first key of `right`. An
+  /// internal node splits in half. A leaf splits at the insertion point of
+  /// `key`, keeping max(count/2, min(LowerBound(key), count - 1))
+  /// entries, so keys appended at the end of a run (sequential ids, or
+  /// per-district ids in the middle of a leaf) leave the left leaf full
+  /// instead of freezing it half empty.
+  uint64_t SplitInto(BTreeNode* right, uint64_t key);
 
  private:
   NodeHeader* node_header() {

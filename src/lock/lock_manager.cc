@@ -11,7 +11,7 @@ namespace shoremt::lock {
 namespace {
 
 size_t ResolveShardCount(size_t requested) {
-  if (requested > 0) return std::min<size_t>(requested, 256);
+  if (requested > 0) return std::min(requested, kMaxShards);
   size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   return std::min<size_t>(hw, 64);
@@ -37,45 +37,58 @@ TxnLockList LockManager::Attach(TxnId txn) { return TxnLockList(this, txn); }
 bool LockManager::CompatibleWithGranted(const Shard& shard,
                                         const LockHead& head, LockMode mode,
                                         uint32_t self) const {
-  for (uint32_t g : head.granted) {
+  for (uint32_t g = head.granted; g != kNilIndex; g = shard.pool[g].next) {
     if (g == self) continue;
     if (!Compatible(shard.pool[g].mode, mode)) return false;
   }
   return true;
 }
 
+void LockManager::Dequeue(Shard& shard, LockHead& head, uint32_t idx) {
+  uint32_t prev = kNilIndex;
+  for (uint32_t w = head.waiting; w != kNilIndex; w = shard.pool[w].next) {
+    if (w != idx) {
+      prev = w;
+      continue;
+    }
+    uint32_t next = shard.pool[w].next;
+    (prev == kNilIndex ? head.waiting : shard.pool[prev].next) = next;
+    if (head.waiting_tail == w) head.waiting_tail = prev;
+    shard.pool[w].next = kNilIndex;
+    return;
+  }
+}
+
 void LockManager::ProcessQueue(Shard& shard, LockHead& head) {
   // Strict FIFO with upgrade priority (upgrades are enqueued at the
   // front): grant from the head of the queue until the first request that
   // must keep waiting.
-  while (!head.waiting.empty()) {
-    uint32_t idx = head.waiting.front();
+  while (head.waiting != kNilIndex) {
+    uint32_t idx = head.waiting;
     LockRequest& req = shard.pool[idx];
     if (req.is_upgrade) {
       // Find the requester's granted entry and try to strengthen it.
-      uint32_t self = UINT32_MAX;
-      for (uint32_t g : head.granted) {
-        if (shard.pool[g].txn == req.txn) {
-          self = g;
-          break;
-        }
+      uint32_t self = head.granted;
+      while (self != kNilIndex && shard.pool[self].txn != req.txn) {
+        self = shard.pool[self].next;
       }
-      if (self == UINT32_MAX) {
+      if (self == kNilIndex) {
         // Holder vanished (aborted): drop the stale upgrade request.
-        head.waiting.pop_front();
+        Dequeue(shard, head, idx);
         shard.pool.Release(idx);
         continue;
       }
       if (!CompatibleWithGranted(shard, head, req.convert_to, self)) return;
       shard.pool[self].mode = req.convert_to;
-      head.waiting.pop_front();
+      Dequeue(shard, head, idx);
       req.granted = true;  // Waiter observes success and frees the slot.
       continue;
     }
-    if (!CompatibleWithGranted(shard, head, req.mode, UINT32_MAX)) return;
-    head.waiting.pop_front();
+    if (!CompatibleWithGranted(shard, head, req.mode, kNilIndex)) return;
+    Dequeue(shard, head, idx);
     req.granted = true;
-    head.granted.push_back(idx);
+    req.next = head.granted;
+    head.granted = idx;
   }
 }
 
@@ -95,7 +108,7 @@ bool LockManager::Reaches(TxnId from, TxnId target,
 bool LockManager::AddWaitEdges(Shard& home, TxnId waiter,
                                const LockHead& head, uint32_t self) {
   std::vector<TxnId> holders;
-  for (uint32_t g : head.granted) {
+  for (uint32_t g = head.granted; g != kNilIndex; g = home.pool[g].next) {
     if (g == self) continue;
     TxnId holder = home.pool[g].txn;
     if (holder != waiter) holders.push_back(holder);
@@ -108,12 +121,11 @@ bool LockManager::AddWaitEdges(Shard& home, TxnId waiter,
     return r.is_upgrade ? r.convert_to : r.mode;
   };
   // Both callers queue the waiter's request before calling here.
-  auto own = std::find_if(
-      head.waiting.begin(), head.waiting.end(),
-      [&](uint32_t w) { return home.pool[w].txn == waiter; });
-  LockMode mode = wanted(home.pool[*own]);
-  for (auto it = head.waiting.begin(); it != own; ++it) {
-    const LockRequest& ahead = home.pool[*it];
+  uint32_t own = head.waiting;
+  while (home.pool[own].txn != waiter) own = home.pool[own].next;
+  LockMode mode = wanted(home.pool[own]);
+  for (uint32_t w = head.waiting; w != own; w = home.pool[w].next) {
+    const LockRequest& ahead = home.pool[w];
     if (!Compatible(wanted(ahead), mode)) holders.push_back(ahead.txn);
   }
   // Lock every partition in index order (shard mutexes are never acquired
@@ -160,153 +172,128 @@ void LockManager::RemoveWaitEdges(Shard& home, TxnId waiter) {
   }
 }
 
-Status LockManager::Acquire(TxnId txn, const LockId& id, LockMode mode,
-                            uint64_t* waits_out) {
+Status LockManager::Acquire(TxnId txn, uint64_t hash, HeldLock* held,
+                            LockMode mode, uint64_t* waits_out) {
   if (txn == kInvalidTxnId || mode == LockMode::kNone) {
     return Status::InvalidArgument("bad lock request");
   }
-  Shard& shard = ShardFor(id);
+  Shard& shard = *shards_[held->shard];
   std::unique_lock<std::mutex> lk(MutexFor(shard));
-  LockHead& head = shard.heads[id];
-  head.id = id;
-
-  // Re-request or upgrade? (The handle cache absorbs equal-or-weaker
-  // re-requests before this point; reaching here with an entry means a
-  // genuine upgrade, or a raw re-probe from diagnostics.)
-  for (uint32_t g : head.granted) {
-    if (shard.pool[g].txn != txn) continue;
-    LockMode needed = Supremum(shard.pool[g].mode, mode);
-    if (needed == shard.pool[g].mode) {
+  // A held mode means an upgrade of the grant the handle recorded (the
+  // handle cache absorbs equal-or-weaker re-requests before this point).
+  const bool upgrade = held->mode != LockMode::kNone;
+  const LockMode target = upgrade ? Supremum(held->mode, mode) : mode;
+  if (upgrade && shard.heads[held->head].waiting == kNilIndex &&
+      CompatibleWithGranted(shard, shard.heads[held->head], target,
+                            held->req)) {
+    shard.pool[held->req].mode = target;
+    held->mode = target;
+    stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
+    return Status::Ok();
+  }
+  // Take the request slot before touching the heads, so a drained pool
+  // (an expected, recoverable path) never leaves an empty head behind.
+  auto slot = shard.pool.Acquire();
+  if (!slot) {
+    return Status::ResourceExhausted("lock request pool exhausted (shard)");
+  }
+  const uint32_t hi =
+      upgrade ? held->head : shard.heads.FindOrInsert(held->id, hash);
+  LockHead& head = shard.heads[hi];
+  LockRequest& req = shard.pool[*slot];
+  req.txn = txn;
+  if (upgrade) {
+    // Upgrade must wait — at the front of the queue, ahead of new locks.
+    req.mode = held->mode;
+    req.convert_to = target;
+    req.is_upgrade = true;
+    req.next = head.waiting;
+    head.waiting = *slot;
+    if (head.waiting_tail == kNilIndex) head.waiting_tail = *slot;
+  } else {
+    req.mode = mode;
+    held->head = hi;
+    held->req = *slot;
+    if (head.waiting == kNilIndex &&
+        CompatibleWithGranted(shard, head, mode, kNilIndex)) {
+      req.granted = true;
+      req.next = head.granted;
+      head.granted = *slot;
+      held->mode = mode;
       stats_.acquired.fetch_add(1, std::memory_order_relaxed);
       return Status::Ok();
     }
-    if (head.waiting.empty() &&
-        CompatibleWithGranted(shard, head, needed, g)) {
-      shard.pool[g].mode = needed;
-      stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
-    }
-    // Upgrade must wait — at the front of the queue, ahead of new locks.
-    auto slot = shard.pool.Acquire();
-    if (!slot) {
-      return Status::ResourceExhausted("lock request pool exhausted (shard)");
-    }
-    LockRequest& req = shard.pool[*slot];
-    req.txn = txn;
-    req.mode = shard.pool[g].mode;
-    req.convert_to = needed;
-    req.is_upgrade = true;
-    head.waiting.push_front(*slot);
-    stats_.waits.fetch_add(1, std::memory_order_relaxed);
-    if (waits_out != nullptr) ++*waits_out;
-    if (options_.deadlock_policy == DeadlockPolicy::kWaitsForGraph &&
-        !AddWaitEdges(shard, txn, head, g)) {
-      head.waiting.pop_front();
-      shard.pool.Release(*slot);
-      return Status::Deadlock("waits-for cycle (upgrade victim)");
-    }
-    bool granted = shard.cv.wait_for(
-        lk, std::chrono::microseconds(options_.timeout_us),
-        [&] { return shard.pool[*slot].granted; });
-    if (options_.deadlock_policy == DeadlockPolicy::kWaitsForGraph) {
-      RemoveWaitEdges(shard, txn);
-    }
-    if (granted) {
-      shard.pool.Release(*slot);
-      stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
-    }
-    for (size_t i = 0; i < head.waiting.size(); ++i) {
-      if (head.waiting[i] == *slot) {
-        head.waiting.erase(head.waiting.begin() + static_cast<long>(i));
-        break;
-      }
-    }
-    shard.pool.Release(*slot);
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    // Our queue slot may have been blocking others; re-drain and wake.
-    ProcessQueue(shard, head);
-    shard.cv.notify_all();
-    return Status::Deadlock("upgrade timed out (deadlock victim)");
+    (head.waiting_tail == kNilIndex ? head.waiting
+                                    : shard.pool[head.waiting_tail].next) =
+        *slot;
+    head.waiting_tail = *slot;
   }
-
-  // Fresh request.
-  auto slot = shard.pool.Acquire();
-  if (!slot) {
-    // Exhaustion is an expected, recoverable path: drop the head the
-    // heads[id] probe above may have just created, or retry-heavy
-    // workloads over fresh ids would grow the map unboundedly.
-    if (head.granted.empty() && head.waiting.empty()) shard.heads.erase(id);
-    return Status::ResourceExhausted("lock request pool exhausted (shard)");
-  }
-  LockRequest& req = shard.pool[*slot];
-  req.txn = txn;
-  req.mode = mode;
-  if (head.waiting.empty() &&
-      CompatibleWithGranted(shard, head, mode, UINT32_MAX)) {
-    req.granted = true;
-    head.granted.push_back(*slot);
-    stats_.acquired.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  }
-  head.waiting.push_back(*slot);
   stats_.waits.fetch_add(1, std::memory_order_relaxed);
   if (waits_out != nullptr) ++*waits_out;
   if (options_.deadlock_policy == DeadlockPolicy::kWaitsForGraph &&
-      !AddWaitEdges(shard, txn, head, UINT32_MAX)) {
-    head.waiting.pop_back();
+      !AddWaitEdges(shard, txn, head, upgrade ? held->req : kNilIndex)) {
+    Dequeue(shard, head, *slot);
     shard.pool.Release(*slot);
-    return Status::Deadlock("waits-for cycle (victim)");
+    return Status::Deadlock(upgrade ? "waits-for cycle (upgrade victim)"
+                                    : "waits-for cycle (victim)");
   }
+  if (!Park(shard, lk, hi, *slot, txn)) {
+    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+    return Status::Deadlock(upgrade ? "upgrade timed out (deadlock victim)"
+                                    : "lock wait timed out (deadlock victim)");
+  }
+  if (upgrade) {
+    shard.pool.Release(*slot);  // The grant lives in the original request.
+    stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    stats_.acquired.fetch_add(1, std::memory_order_relaxed);
+  }
+  held->mode = target;
+  return Status::Ok();
+}
+
+bool LockManager::Park(Shard& shard, std::unique_lock<std::mutex>& lk,
+                       uint32_t head, uint32_t slot, TxnId txn) {
+  ++shard.parked;
   bool granted =
       shard.cv.wait_for(lk, std::chrono::microseconds(options_.timeout_us),
-                        [&] { return shard.pool[*slot].granted; });
+                        [&] { return shard.pool[slot].granted; });
+  --shard.parked;
   if (options_.deadlock_policy == DeadlockPolicy::kWaitsForGraph) {
     RemoveWaitEdges(shard, txn);
   }
-  if (granted) {
-    stats_.acquired.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  }
-  for (size_t i = 0; i < head.waiting.size(); ++i) {
-    if (head.waiting[i] == *slot) {
-      head.waiting.erase(head.waiting.begin() + static_cast<long>(i));
-      break;
-    }
-  }
-  shard.pool.Release(*slot);
-  stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-  ProcessQueue(shard, head);
-  shard.cv.notify_all();
-  return Status::Deadlock("lock wait timed out (deadlock victim)");
+  if (granted) return true;
+  LockHead& h = shard.heads[head];
+  Dequeue(shard, h, slot);
+  shard.pool.Release(slot);
+  // Our queue slot may have been blocking others; re-drain and wake.
+  ProcessQueue(shard, h);
+  shard.heads.EraseIfUnused(head);
+  if (shard.parked > 0) shard.cv.notify_all();
+  return false;
 }
 
 void LockManager::ReleaseAll(TxnLockList* handle) {
   uint64_t released = 0;
+  const HeldLock* entries = handle->entries();
   for (size_t si = 0; si < shards_.size(); ++si) {
-    const std::vector<LockId>& ids = handle->shard_ids_[si];
-    if (ids.empty()) continue;
+    if (!handle->Touched(si)) continue;
     Shard& shard = *shards_[si];
     std::unique_lock<std::mutex> lk(MutexFor(shard));
     // Newest first (strict 2PL: everything goes at once anyway).
-    for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
-      auto hit = shard.heads.find(*it);
-      if (hit == shard.heads.end()) continue;
-      LockHead& head = hit->second;
-      for (size_t i = 0; i < head.granted.size(); ++i) {
-        if (shard.pool[head.granted[i]].txn == handle->txn_) {
-          shard.pool.Release(head.granted[i]);
-          head.granted.erase(head.granted.begin() + static_cast<long>(i));
-          ++released;
-          break;
-        }
-      }
+    for (uint32_t i = handle->count_; i-- > 0;) {
+      const HeldLock& e = entries[i];
+      if (e.shard != si) continue;
+      LockHead& head = shard.heads[e.head];
+      uint32_t* link = &head.granted;
+      while (*link != e.req) link = &shard.pool[*link].next;
+      *link = shard.pool[e.req].next;
+      shard.pool.Release(e.req);
+      ++released;
       ProcessQueue(shard, head);
-      if (head.granted.empty() && head.waiting.empty()) {
-        shard.heads.erase(hit);
-      }
+      shard.heads.EraseIfUnused(e.head);
     }
-    shard.cv.notify_all();
+    if (shard.parked > 0) shard.cv.notify_all();
   }
   stats_.releases.fetch_add(released, std::memory_order_relaxed);
   stats_.bulk_releases.fetch_add(1, std::memory_order_relaxed);
@@ -314,11 +301,13 @@ void LockManager::ReleaseAll(TxnLockList* handle) {
 
 LockMode LockManager::HeldMode(TxnId txn, const LockId& id) const {
   auto& self = const_cast<LockManager&>(*this);
-  Shard& shard = self.ShardFor(id);
+  uint64_t hash = LockIdHash()(id);
+  Shard& shard = *self.shards_[ShardOf(hash)];
   std::unique_lock<std::mutex> lk(self.MutexFor(shard));
-  auto it = shard.heads.find(id);
-  if (it == shard.heads.end()) return LockMode::kNone;
-  for (uint32_t g : it->second.granted) {
+  uint32_t hi = shard.heads.Find(id, hash);
+  if (hi == kNilIndex) return LockMode::kNone;
+  for (uint32_t g = shard.heads[hi].granted; g != kNilIndex;
+       g = shard.pool[g].next) {
     if (shard.pool[g].txn == txn) return shard.pool[g].mode;
   }
   return LockMode::kNone;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -12,6 +11,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "lock/head_table.h"
 #include "lock/lock_id.h"
 #include "lock/lock_mode.h"
 #include "lock/request_pool.h"
@@ -32,6 +32,9 @@ enum class DeadlockPolicy : uint8_t {
   kWaitsForGraph,
 };
 
+/// Upper bound on LockOptions::shards.
+inline constexpr size_t kMaxShards = 256;
+
 /// Lock manager configuration; defaults = Shore-MT "final" extended with
 /// the sharded table. The baseline presets flip `per_shard_latch` off (the
 /// paper found Shore's per-bucket support "statically disabled by a single
@@ -42,15 +45,17 @@ struct LockOptions {
   /// the whole table (the pre-§7.5 configuration).
   bool per_shard_latch = true;
   RequestPoolKind pool_kind = RequestPoolKind::kLockFreeStack;
-  /// Number of table shards; 0 = one per hardware context (clamped to
-  /// [1, 64]). Each shard owns its hash of lock heads, its request pool,
-  /// its condition variable, and its waits-for partition.
+  /// Number of table shards, at most kMaxShards; 0 = one per hardware
+  /// context (clamped to [1, 64]). Each shard owns its lock heads, its
+  /// request pool, its condition variable, and its waits-for partition.
   size_t shards = 0;
   /// Request-pool capacity PER SHARD (the single global pool was an
   /// allocation funnel; pools are now sized and owned per shard).
   /// 0 = auto: at least the classic 64Ki-request total envelope,
   /// max(8Ki, 64Ki / shards) per shard — so a single-shard table keeps
-  /// the old capacity and a many-shard table spreads it out.
+  /// the old capacity and a many-shard table spreads it out. A lock head
+  /// exists only while a request refers to it, so this bounds the shard's
+  /// heads too.
   uint32_t pool_capacity = 0;
   /// Lock-wait budget; expiry is treated as a deadlock verdict.
   uint64_t timeout_us = 500'000;
@@ -74,19 +79,36 @@ struct LockStats {
   std::atomic<uint64_t> bulk_releases{0};
 };
 
+/// One lock a transaction holds, as its TxnLockList records it: the
+/// object, the granted mode, and where the grant lives in the shared table
+/// (shard, head and request index), so an upgrade or the release finds it
+/// without a lookup. A store entry also carries the transaction's row
+/// count and escalation state for that store.
+struct HeldLock {
+  LockId id;
+  LockMode mode = LockMode::kNone;  ///< kNone: not yet granted.
+  bool escalated = false;           ///< Store entries: escalated here.
+  uint16_t shard = 0;
+  uint32_t rows = 0;                ///< Store entries: row locks taken.
+  uint32_t head = kNilIndex;
+  uint32_t req = kNilIndex;
+};
+
 /// Transaction-duration lock table (§2.2.3): hierarchical modes, FIFO
 /// queuing with upgrade priority, and timeout-based deadlock resolution —
-/// split into per-core shards (§7.5 extended). Each shard owns its hash of
-/// lock heads, its pre-allocated request pool, its condition variable and
-/// its waits-for partition, so disjoint traffic never shares a cache line
-/// and a drained pool in one shard cannot starve another.
+/// split into per-core shards (§7.5 extended). Each shard owns its table of
+/// pooled lock heads, its pre-allocated request pool, its condition
+/// variable and its waits-for partition, so disjoint traffic never shares
+/// a cache line and a drained pool in one shard cannot starve another.
+/// Heads and requests are pool records linked by index (intrusive queues),
+/// so acquiring and releasing a lock allocates nothing.
 ///
 /// All acquisition goes through a per-transaction TxnLockList handle
 /// (txn_lock_list.h), vended by Attach(): the handle's private cache of
 /// held modes absorbs re-grants (the overwhelmingly common case for
 /// volume/store intents) without touching the shared table, and records
-/// each lock's shard so ReleaseAll drops everything with one latch
-/// acquisition per touched shard instead of per-id probes.
+/// where each grant lives so ReleaseAll drops everything with one latch
+/// acquisition per touched shard and no lookups.
 class LockManager {
  public:
   explicit LockManager(LockOptions options);
@@ -110,7 +132,7 @@ class LockManager {
 
   /// The shard `id` hashes to (stable for the manager's lifetime).
   size_t ShardIndex(const LockId& id) const {
-    return LockIdHash()(id) % shards_.size();
+    return ShardOf(LockIdHash()(id));
   }
   size_t shard_count() const { return shards_.size(); }
 
@@ -120,41 +142,43 @@ class LockManager {
  private:
   friend class TxnLockList;
 
-  struct LockHead {
-    LockId id;
-    std::vector<uint32_t> granted;  ///< Request pool indices (this shard).
-    std::deque<uint32_t> waiting;
-  };
-
   /// One table shard: heads, request pool, parking and waits-for state.
   struct Shard {
     Shard(RequestPoolKind kind, uint32_t capacity) : pool(kind, capacity) {}
     mutable std::mutex mutex;  ///< Used when per_shard_latch is on.
     std::condition_variable cv;
-    std::unordered_map<LockId, LockHead, LockIdHash> heads;
+    /// Threads parked on `cv`; releases notify only when it is nonzero.
+    /// Guarded by the shard's latch (MutexFor).
+    uint32_t parked = 0;
+    HeadTable heads;
     RequestPool pool;
     /// Waits-for partition: edges whose waiter parked in this shard.
     mutable std::mutex wfg_mutex;
     std::unordered_map<TxnId, std::vector<TxnId>> waits_for;
   };
 
-  Shard& ShardFor(const LockId& id) { return *shards_[ShardIndex(id)]; }
-  const Shard& ShardFor(const LockId& id) const {
-    return *shards_[ShardIndex(id)];
-  }
+  size_t ShardOf(uint64_t hash) const { return hash % shards_.size(); }
 
   /// The mutex guarding `shard` under the current latching strategy.
   std::mutex& MutexFor(Shard& shard) {
     return options_.per_shard_latch ? shard.mutex : global_mutex_;
   }
 
-  /// Acquires (or upgrades to) `mode` on `id` for `txn` in the shared
-  /// table. Blocks up to the configured timeout; returns Deadlock on
-  /// expiry, ResourceExhausted when the shard's request pool is drained
-  /// (recoverable: abort and retry). `waits_out` is incremented once if
-  /// the request had to park. Called by TxnLockList on cache miss.
-  Status Acquire(TxnId txn, const LockId& id, LockMode mode,
+  /// Acquires `mode` on `held->id` (whose LockIdHash is `hash`) for `txn`
+  /// in shard `held->shard`, or upgrades the grant `held` records when
+  /// `held->mode` is set. On success `held` holds the granted mode and
+  /// where the grant lives. Blocks up to the configured timeout; returns
+  /// Deadlock on expiry, ResourceExhausted when the shard's request pool
+  /// is drained (recoverable: abort and retry). `waits_out` is incremented
+  /// once if the request had to park. Called by TxnLockList on cache miss.
+  Status Acquire(TxnId txn, uint64_t hash, HeldLock* held, LockMode mode,
                  uint64_t* waits_out);
+
+  /// Parks the caller until request `slot` is granted or the timeout
+  /// expires; on expiry dequeues and frees the request and wakes whoever
+  /// it was blocking. Returns whether the request was granted.
+  bool Park(Shard& shard, std::unique_lock<std::mutex>& lk, uint32_t head,
+            uint32_t slot, TxnId txn);
 
   /// Releases every lock `handle` recorded, one latch acquisition per
   /// touched shard, waking grantable waiters per shard. Called by
@@ -167,6 +191,8 @@ class LockManager {
                              LockMode mode, uint32_t self) const;
   /// Wakes up grantable waiters at the queue front (upgrades first).
   void ProcessQueue(Shard& shard, LockHead& head);
+  /// Removes request `idx` from `head`'s waiting queue.
+  void Dequeue(Shard& shard, LockHead& head, uint32_t idx);
 
   /// Waits-for maintenance (kWaitsForGraph policy). Registers `waiter` →
   /// each holder and each conflicting request queued ahead of it in

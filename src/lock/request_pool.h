@@ -12,10 +12,16 @@
 
 namespace shoremt::lock {
 
-/// One lock request record, owned by the pool and referenced by index from
-/// the lock heads' granted/waiting lists.
+/// The null index of the lock layer's pools (request, head and bucket
+/// links).
+inline constexpr uint32_t kNilIndex = UINT32_MAX;
+
+/// One lock request record, owned by the pool and linked by index into a
+/// lock head's granted or waiting queue (the queues are intrusive: a
+/// request sits in at most one of them, so one link suffices).
 struct LockRequest {
   TxnId txn = kInvalidTxnId;
+  uint32_t next = kNilIndex;  ///< Next request in the same queue.
   LockMode mode = LockMode::kNone;
   LockMode convert_to = LockMode::kNone;  ///< Upgrade target while waiting.
   bool granted = false;

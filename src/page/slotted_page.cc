@@ -45,6 +45,9 @@ size_t SlottedPage::FreeSpace() const {
 }
 
 bool SlottedPage::Fits(size_t size) const {
+  // Room for the record and a new slot entry without compaction fits
+  // whatever the scans below would find.
+  if (ContiguousFree() >= size + sizeof(Slot)) return true;
   // A tombstoned slot can be reused; otherwise a new slot entry is needed.
   bool has_tombstone = false;
   for (uint16_t i = 0; i < SlotCount(); ++i) {

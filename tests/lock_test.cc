@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <new>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -9,6 +12,24 @@
 #include "lock/lock_mode.h"
 #include "lock/request_pool.h"
 #include "lock/txn_lock_list.h"
+
+// Counts every heap allocation in the process, so a test can show that a
+// window of lock-layer work allocates nothing.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler does not pair an inlined malloc()/free()
+// with operator new/delete at a call site and warn about a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace shoremt::lock {
 namespace {
@@ -548,6 +569,164 @@ TEST(LockManagerPoolTest, BothPoolKindsFunctionUnderLoad) {
     EXPECT_EQ(failures.load(), 0);
     EXPECT_EQ(mgr.LockedObjectCount(), 0u);
   }
+}
+
+// ------------------------------------------------- allocation-free path --
+
+/// One transaction of ~40 locks: volume and store intents, record locks
+/// over several stores (so several shards), and one S→X upgrade.
+void RunFortyLockTxn(LockManager& mgr, TxnId txn) {
+  TxnLockList h = mgr.Attach(txn);
+  for (StoreId store = 1; store <= 4; ++store) {
+    for (uint16_t slot = 0; slot < 9; ++slot) {
+      ASSERT_TRUE(h.LockRecord(store, RecordId{7, slot}, kX).ok());
+    }
+  }
+  LockId upgraded = LockId::Record(9, RecordId{1, 1});
+  ASSERT_TRUE(h.Lock(upgraded, kS).ok());
+  ASSERT_TRUE(h.Lock(upgraded, kX).ok());
+  ASSERT_EQ(h.HeldMode(upgraded), kX);
+  h.ReleaseAll();
+}
+
+TEST(LockAllocationTest, SteadyStateTransactionAllocatesNothing) {
+  LockOptions o = FastTimeout();
+  o.shards = 4;
+  LockManager mgr(o);
+  std::set<size_t> shards;
+  for (StoreId store = 1; store <= 4; ++store) {
+    for (uint16_t slot = 0; slot < 9; ++slot) {
+      shards.insert(mgr.ShardIndex(LockId::Record(store, RecordId{7, slot})));
+    }
+  }
+  ASSERT_GE(shards.size(), 2u) << "the transaction must span shards";
+  uint64_t before = g_allocations.load();
+  RunFortyLockTxn(mgr, 1);  // Warm-up: head chunks and buckets grow.
+  EXPECT_GT(g_allocations.load(), before) << "the hook must see the warm-up";
+  uint64_t acquired = mgr.stats().acquired.load();
+  before = g_allocations.load();
+  RunFortyLockTxn(mgr, 2);
+  uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GE(mgr.stats().acquired.load() - acquired, 40u);
+  EXPECT_EQ(mgr.stats().upgrades.load(), 2u);
+  EXPECT_EQ(mgr.LockedObjectCount(), 0u);
+}
+
+TEST(LockAllocationTest, HandleSpillsPastItsInlineEntries) {
+  // More locks than the handle keeps inline: the entries and their index
+  // move to the heap, and lookups, upgrades and release keep working.
+  LockOptions o = FastTimeout();
+  o.shards = 4;
+  LockManager mgr(o);
+  TxnLockList h = mgr.Attach(1);
+  constexpr uint16_t kRows = 300;
+  for (uint16_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(h.Lock(LockId::Record(1, RecordId{1, i}), kS).ok());
+  }
+  EXPECT_EQ(h.held(), kRows);
+  for (uint16_t i = 0; i < kRows; i += 7) {
+    LockId id = LockId::Record(1, RecordId{1, i});
+    ASSERT_TRUE(h.Lock(id, kX).ok());
+    EXPECT_EQ(h.HeldMode(id), kX);
+    EXPECT_EQ(mgr.HeldMode(1, id), kX);
+  }
+  EXPECT_EQ(h.HeldMode(LockId::Record(1, RecordId{1, 1})), kS);
+  EXPECT_EQ(h.HeldMode(LockId::Record(1, RecordId{2, 0})), kNone);
+  TxnLockList moved = std::move(h);
+  EXPECT_EQ(moved.held(), kRows);
+  EXPECT_EQ(moved.HeldMode(LockId::Record(1, RecordId{1, 299})), kS);
+  moved.ReleaseAll();
+  EXPECT_EQ(moved.held(), 0u);
+  EXPECT_EQ(mgr.LockedObjectCount(), 0u);
+}
+
+TEST(LockManagerPoolTest, DrainedPoolLeavesNoHeadBehind) {
+  LockOptions o = FastTimeout();
+  o.pool_capacity = 2;
+  o.shards = 1;
+  LockManager mgr(o);
+  // Two readers take the shard's only two request slots.
+  TxnLockList h1 = mgr.Attach(1);
+  TxnLockList h2 = mgr.Attach(2);
+  ASSERT_TRUE(h1.Lock(LockId::Store(1), kS).ok());
+  ASSERT_TRUE(h2.Lock(LockId::Store(1), kS).ok());
+  // A fresh request and an upgrade that must queue both need a slot.
+  TxnLockList h3 = mgr.Attach(3);
+  EXPECT_TRUE(h3.Lock(LockId::Store(2), kS).IsResourceExhausted());
+  EXPECT_TRUE(h1.Lock(LockId::Store(1), kX).IsResourceExhausted());
+  EXPECT_EQ(h1.HeldMode(LockId::Store(1)), kS);
+  EXPECT_EQ(mgr.HeldMode(1, LockId::Store(1)), kS);
+  EXPECT_EQ(mgr.LockedObjectCount(), 1u);
+  h1.ReleaseAll();
+  h2.ReleaseAll();
+  h3.ReleaseAll();
+  EXPECT_EQ(mgr.LockedObjectCount(), 0u);
+}
+
+TEST(LockManagerPoolTest, TimedOutWaiterFreesItsRequestAndHead) {
+  LockOptions o = FastTimeout();
+  o.timeout_us = 5'000;
+  o.pool_capacity = 2;
+  o.shards = 1;
+  LockManager mgr(o);
+  LockId id = LockId::Store(1);
+  TxnLockList holder = mgr.Attach(1);
+  ASSERT_TRUE(holder.Lock(id, kX).ok());
+  // Each timed-out waiter must give its request slot back, or the second
+  // round would find the two-slot pool drained.
+  for (TxnId t = 2; t < 5; ++t) {
+    TxnLockList waiter = mgr.Attach(t);
+    EXPECT_TRUE(waiter.Lock(id, kS).IsDeadlock());
+    EXPECT_EQ(mgr.LockedObjectCount(), 1u);
+  }
+  EXPECT_EQ(mgr.stats().timeouts.load(), 3u);
+  holder.ReleaseAll();
+  EXPECT_EQ(mgr.LockedObjectCount(), 0u);
+  TxnLockList after = mgr.Attach(9);
+  EXPECT_TRUE(after.Lock(id, kX).ok());
+  after.ReleaseAll();
+}
+
+TEST(LockManagerQueueTest, UpgradeGrantedAheadOfEarlierFreshWaiter) {
+  LockOptions o;
+  o.timeout_us = 10'000'000;  // Ordering, not timeouts, is under test.
+  o.shards = 1;
+  LockManager mgr(o);
+  LockId id = LockId::Store(1);
+  TxnLockList h1 = mgr.Attach(1);
+  TxnLockList h2 = mgr.Attach(2);
+  ASSERT_TRUE(h1.Lock(id, kS).ok());
+  ASSERT_TRUE(h2.Lock(id, kS).ok());
+  auto await_waits = [&](uint64_t n) {
+    while (mgr.stats().waits.load() < n) std::this_thread::yield();
+  };
+  // A fresh writer queues first...
+  std::atomic<bool> fresh_granted{false};
+  std::thread fresh([&] {
+    TxnLockList h3 = mgr.Attach(3);
+    EXPECT_TRUE(h3.Lock(id, kX).ok());
+    fresh_granted.store(true);
+    h3.ReleaseAll();
+  });
+  await_waits(1);
+  // ...then h1's upgrade, which goes to the front of the queue.
+  std::atomic<bool> upgraded{false};
+  std::thread upgrade([&] {
+    EXPECT_TRUE(h1.Lock(id, kX).ok());
+    upgraded.store(true);
+  });
+  await_waits(2);
+  // h2's release makes both grantable in principle; the upgrade wins.
+  h2.ReleaseAll();
+  upgrade.join();
+  EXPECT_TRUE(upgraded.load());
+  EXPECT_FALSE(fresh_granted.load());
+  EXPECT_EQ(mgr.HeldMode(1, id), kX);
+  h1.ReleaseAll();
+  fresh.join();
+  EXPECT_TRUE(fresh_granted.load());
+  EXPECT_EQ(mgr.LockedObjectCount(), 0u);
 }
 
 }  // namespace

@@ -92,6 +92,43 @@ TEST_P(SlottedPageProperty, RandomOpsMatchReferenceModel) {
   }
 }
 
+TEST_P(SlottedPageProperty, FitsMatchesScanDefinition) {
+  // Fits answers from the contiguous gap when it can; it must agree with
+  // the scan-based definition: a tombstone can be reused, otherwise the
+  // record also needs a new 4-byte slot entry, and compaction may run.
+  Rng rng(GetParam());
+  alignas(8) uint8_t buf[kPageSize] = {};
+  page::SlottedPage sp(buf);
+  sp.Init(1, 1, page::PageType::kData);
+  std::vector<uint16_t> live;
+  for (int op = 0; op < 3000; ++op) {
+    int kind = static_cast<int>(rng.Uniform(100));
+    if (kind < 50) {
+      std::vector<uint8_t> payload(rng.Uniform(400) + 1);
+      auto slot = sp.Insert(payload);
+      if (slot.ok()) live.push_back(*slot);
+    } else if (kind < 80 && !live.empty()) {
+      size_t i = rng.Uniform(live.size());
+      ASSERT_TRUE(sp.Delete(live[i]).ok());
+      live.erase(live.begin() + static_cast<long>(i));
+    } else if (!live.empty()) {
+      std::vector<uint8_t> payload(rng.Uniform(300) + 1);
+      (void)sp.Update(live[rng.Uniform(live.size())], payload);
+    }
+    bool has_tombstone = sp.SlotCount() > sp.LiveCount();
+    size_t free = sp.FreeSpace();
+    for (int probe = 0; probe < 16; ++probe) {
+      // Half the probes straddle the free-space boundary.
+      size_t size = probe % 2 == 0
+                        ? rng.Uniform(kPageSize)
+                        : free - std::min<size_t>(free, 6) + rng.Uniform(9);
+      bool expect = free >= size + (has_tombstone ? 0 : 4);
+      ASSERT_EQ(sp.Fits(size), expect)
+          << "size " << size << " free " << free << " op " << op;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SlottedPageProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 

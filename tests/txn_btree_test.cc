@@ -116,11 +116,31 @@ TEST(BTreeNodeTest, SplitLeafHalves) {
   a.Init(1, 1, 0);
   b.Init(2, 1, 0);
   for (uint64_t k = 0; k < 100; ++k) a.InsertSorted(k, k);
-  uint64_t sep = a.SplitInto(&b);
+  uint64_t sep = a.SplitInto(&b, 25);  // Inserting left of the middle.
   EXPECT_EQ(a.count(), 50u);
   EXPECT_EQ(b.count(), 50u);
   EXPECT_EQ(sep, 50u);
   EXPECT_EQ(b.entry(0).key, 50u);
+}
+
+TEST(BTreeNodeTest, SplitLeafAtInsertionPoint) {
+  alignas(8) uint8_t a_buf[kPageSize] = {};
+  alignas(8) uint8_t b_buf[kPageSize] = {};
+  btree::BTreeNode a(a_buf), b(b_buf);
+  a.Init(1, 1, 0);
+  b.Init(2, 1, 0);
+  for (uint64_t k = 0; k < 100; ++k) a.InsertSorted(k * 2, k);
+  // 141 goes in at position 71: the left leaf keeps everything below it.
+  EXPECT_EQ(a.SplitInto(&b, 141), 142u);
+  EXPECT_EQ(a.count(), 71u);
+  EXPECT_EQ(b.count(), 29u);
+  // An append past the last key keeps all but one entry on the left.
+  a.Init(1, 1, 0);
+  b.Init(2, 1, 0);
+  for (uint64_t k = 0; k < 100; ++k) a.InsertSorted(k, k);
+  EXPECT_EQ(a.SplitInto(&b, 1000), 99u);
+  EXPECT_EQ(a.count(), 99u);
+  EXPECT_EQ(b.count(), 1u);
 }
 
 TEST(BTreeNodeTest, SplitInternalPromotesSeparator) {
@@ -131,7 +151,7 @@ TEST(BTreeNodeTest, SplitInternalPromotesSeparator) {
   b.Init(2, 1, 1);
   a.set_leftmost_child(1000);
   for (uint64_t k = 1; k <= 99; ++k) a.InsertSorted(k, 1000 + k);
-  uint64_t sep = a.SplitInto(&b);
+  uint64_t sep = a.SplitInto(&b, 100);  // Internal nodes always halve.
   // Separator is promoted (not duplicated in the right node).
   EXPECT_EQ(b.leftmost_child(), 1000 + sep);
   uint16_t idx;
@@ -232,6 +252,93 @@ TEST(BTreeTest, ScanInOrderAcrossLeaves) {
                     return true;
                   }).ok());
   EXPECT_EQ(seen, 101u);  // 300,303,...,600.
+}
+
+/// The first and last key and the entry count of each leaf, left to right.
+struct LeafSpan {
+  uint64_t first;
+  uint64_t last;
+  uint16_t count;
+};
+
+std::vector<LeafSpan> Leaves(ComponentHarness& h, const btree::BTree& tree) {
+  PageNum page = tree.root();
+  for (;;) {
+    auto fixed = h.pool_.FixPage(page, sync::LatchMode::kShared);
+    EXPECT_TRUE(fixed.ok());
+    btree::BTreeNode node(fixed->data());
+    if (node.IsLeaf()) break;
+    page = node.leftmost_child();
+  }
+  std::vector<LeafSpan> leaves;
+  while (page != kInvalidPageNum) {
+    auto fixed = h.pool_.FixPage(page, sync::LatchMode::kShared);
+    EXPECT_TRUE(fixed.ok());
+    btree::BTreeNode node(fixed->data());
+    EXPECT_GT(node.count(), 0u);
+    leaves.push_back(LeafSpan{node.entry(0).key,
+                              node.entry(node.count() - 1).key,
+                              node.count()});
+    page = page::HeaderOf(fixed->data())->next_page;
+  }
+  return leaves;
+}
+
+TEST(BTreeTest, AppendsLeaveLeavesFull) {
+  // Leaves split at the insertion point, so keys appended at the end of a
+  // run leave every leaf behind them >= 90% full.
+  constexpr size_t kFull = btree::BTreeNode::kMaxEntries * 9 / 10;
+  {
+    // Sequential ids: all but the last leaf.
+    ComponentHarness h;
+    auto tree = h.MakeTree(1);
+    auto* txn = h.txns_.Begin();
+    for (uint64_t k = 0; k < 5000; ++k) {
+      ASSERT_TRUE(tree.Insert(txn, k, RecordId{k + 1, 0}).ok());
+    }
+    ASSERT_TRUE(h.txns_.Commit(txn).ok());
+    std::vector<LeafSpan> leaves = Leaves(h, tree);
+    ASSERT_GT(leaves.size(), 5u);
+    for (size_t i = 0; i + 1 < leaves.size(); ++i) {
+      EXPECT_GE(leaves[i].count, kFull) << "leaf " << i;
+    }
+  }
+  {
+    // Per-district order ids, as in TPC-C: ten districts are loaded in key
+    // order, then new orders are appended round-robin, each at the end of
+    // its district's run — in the middle of a leaf. Every leaf holding
+    // only one district's appended orders, except that district's last
+    // leaf, must be full.
+    constexpr uint64_t kDistricts = 10;
+    constexpr uint64_t kLoaded = 300;
+    constexpr uint64_t kOrders = 1500;
+    auto key = [](uint64_t d, uint64_t o) { return (d << 32) | o; };
+    ComponentHarness h;
+    auto tree = h.MakeTree(1);
+    auto* txn = h.txns_.Begin();
+    for (uint64_t d = 0; d < kDistricts; ++d) {
+      for (uint64_t o = 0; o < kLoaded; ++o) {
+        ASSERT_TRUE(tree.Insert(txn, key(d, o), RecordId{o + 1, 0}).ok());
+      }
+    }
+    for (uint64_t o = kLoaded; o < kOrders; ++o) {
+      for (uint64_t d = 0; d < kDistricts; ++d) {
+        ASSERT_TRUE(tree.Insert(txn, key(d, o), RecordId{o + 1, 0}).ok());
+      }
+    }
+    ASSERT_TRUE(h.txns_.Commit(txn).ok());
+    size_t checked = 0;
+    for (const LeafSpan& leaf : Leaves(h, tree)) {
+      uint64_t d = leaf.first >> 32;
+      bool appended_only = leaf.last >> 32 == d &&
+                           (leaf.first & 0xffffffffu) >= kLoaded;
+      if (!appended_only || leaf.last == key(d, kOrders - 1)) continue;
+      ++checked;
+      EXPECT_GE(leaf.count, kFull) << "district " << d << " leaf from order "
+                                   << (leaf.first & 0xffffffffu);
+    }
+    EXPECT_GE(checked, kDistricts);
+  }
 }
 
 TEST(BTreeTest, RemoveThenNotFound) {
