@@ -46,12 +46,13 @@ namespace {
 
 constexpr size_t kSegmentBytes = 32 << 10;
 constexpr size_t kPressureSegments = 4;
-/// Smoke bound on live segments, in pressure thresholds. Live segments
-/// track the checkpoint cadence (recycling is clamped to the newest
-/// snapshot-carrying checkpoint), not the threshold itself: 5–62 in the
-/// smoke cell on a 4-vCPU host, ~320 when the horizon rule's anchor is
-/// frozen (only the clock and dirty-ratio rules write), ~1,700 with the
-/// cleaner off.
+/// Smoke bound on live segments, in pressure thresholds. Every checkpoint
+/// recycles to its own redo LSN, but the end-of-run sample still lands
+/// anywhere in the gap between two checkpoints and follows the daemons'
+/// scheduling: 3–37 over 20 smoke cells on a 4-vCPU host (4–97 when
+/// recycling waited for every 4th checkpoint), ~320 when the horizon
+/// rule's anchor is frozen (only the clock and dirty-ratio rules write),
+/// ~1,700 with the cleaner off.
 constexpr size_t kSmokeLiveMultiple = 32;
 
 /// What one cell measured; `ran` is false when the engine failed.

@@ -263,7 +263,10 @@ Status BTree::SplitChild(txn::Transaction* txn, PageHandle* parent_handle,
     rec.after = n.SerializeContent();
     SHOREMT_RETURN_NOT_OK(LogAndMark(txn, h, std::move(rec)));
   }
-  // Publish the separator in the parent (guaranteed non-full).
+  // Publish the separator in the parent (guaranteed non-full). Logged
+  // redo-only, outside the transaction's undo chain: the split outlives a
+  // rollback, and undoing the entry as a key insert would remove the data
+  // key the separator copies.
   parent.InsertSorted(sep, right_page);
   log::LogRecord prec;
   prec.type = log::LogRecordType::kBtreeInsert;
@@ -272,7 +275,7 @@ Status BTree::SplitChild(txn::Transaction* txn, PageHandle* parent_handle,
   prec.after.resize(sizeof(BTreeEntry));
   BTreeEntry pe{sep, right_page};
   std::memcpy(prec.after.data(), &pe, sizeof(pe));
-  SHOREMT_RETURN_NOT_OK(LogAndMark(txn, parent_handle, std::move(prec)));
+  SHOREMT_RETURN_NOT_OK(LogAndMark(nullptr, parent_handle, std::move(prec)));
 
   // Continue the descent into whichever half now covers `key`.
   if (key >= sep) {

@@ -54,6 +54,15 @@ using ExtentId = uint64_t;
 /// Extent containing `page`.
 inline ExtentId ExtentOf(PageNum page) { return page / kPagesPerExtent; }
 
+/// One extent's row of the space map: the store that owns it
+/// (kInvalidStoreId = unowned) and which of its pages are allocated (bit i
+/// = page i of the extent).
+struct ExtentEntry {
+  StoreId owner = kInvalidStoreId;
+  uint8_t alloc_bitmap = 0;
+  friend bool operator==(const ExtentEntry&, const ExtentEntry&) = default;
+};
+
 }  // namespace shoremt
 
 namespace std {

@@ -117,6 +117,9 @@ Result<bool> RecordReader::Next(LogRecord* rec, Lsn* end) {
   return true;
 }
 
+// Checkpoint body layout: u64 redo_lsn | u32 n | n × (u64 txn, u64
+// last_lsn, u64 first_lsn) | u32 n | n × (u32 owner, u8 bitmap) | u32 n |
+// n × u32 store | u32 n | n × (u32 len, len bytes).
 void SerializeCheckpoint(const CheckpointBody& body,
                          std::vector<uint8_t>* out) {
   out->clear();
@@ -127,69 +130,63 @@ void SerializeCheckpoint(const CheckpointBody& body,
     Put<uint64_t>(out, t.last_lsn.value);
     Put<uint64_t>(out, t.first_lsn.value);
   }
+  Put<uint32_t>(out, static_cast<uint32_t>(body.extents.size()));
+  for (const ExtentEntry& e : body.extents) {
+    Put<uint32_t>(out, e.owner);
+    Put<uint8_t>(out, e.alloc_bitmap);
+  }
+  Put<uint32_t>(out, static_cast<uint32_t>(body.stores.size()));
+  for (StoreId store : body.stores) Put<uint32_t>(out, store);
   Put<uint32_t>(out, static_cast<uint32_t>(body.tables.size()));
   for (const std::vector<uint8_t>& t : body.tables) {
     Put<uint32_t>(out, static_cast<uint32_t>(t.size()));
     out->insert(out->end(), t.begin(), t.end());
-  }
-  Put<uint32_t>(out, static_cast<uint32_t>(body.stores.size()));
-  for (const auto& [store, pages] : body.stores) {
-    Put<uint32_t>(out, store);
-    Put<uint32_t>(out, static_cast<uint32_t>(pages.size()));
-    for (PageNum p : pages) Put<uint64_t>(out, p);
   }
 }
 
 Status DeserializeCheckpoint(std::span<const uint8_t> data,
                              CheckpointBody* body) {
   size_t off = 0;
+  // Reads a count and checks that that many entries of at least `unit`
+  // bytes fit in what is left, so a damaged count sizes nothing.
+  auto count = [&](size_t unit, uint32_t* n, const char* what) -> Status {
+    if (!Get(data, &off, n) || *n > (data.size() - off) / unit) {
+      return Status::Corruption(std::string("checkpoint ") + what +
+                                " count exceeds the body");
+    }
+    return Status::Ok();
+  };
   uint64_t redo;
-  uint32_t count;
-  if (!Get(data, &off, &redo) || !Get(data, &off, &count)) {
+  uint32_t n;
+  if (!Get(data, &off, &redo)) {
     return Status::Corruption("truncated checkpoint body");
   }
   body->redo_lsn = Lsn{redo};
-  body->active_txns.clear();
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t txn, last, first;
-    if (!Get(data, &off, &txn) || !Get(data, &off, &last) ||
-        !Get(data, &off, &first)) {
-      return Status::Corruption("truncated checkpoint txn table");
-    }
-    body->active_txns.push_back({txn, Lsn{last}, Lsn{first}});
+  SHOREMT_RETURN_NOT_OK(count(24, &n, "transaction"));
+  body->active_txns.resize(n);
+  for (CheckpointTxn& t : body->active_txns) {
+    Get(data, &off, &t.id);
+    Get(data, &off, &t.last_lsn.value);
+    Get(data, &off, &t.first_lsn.value);
   }
-  uint32_t tables;
-  if (!Get(data, &off, &tables)) {
-    return Status::Corruption("truncated checkpoint catalog");
+  SHOREMT_RETURN_NOT_OK(count(5, &n, "extent"));
+  body->extents.resize(n);
+  for (ExtentEntry& e : body->extents) {
+    Get(data, &off, &e.owner);
+    Get(data, &off, &e.alloc_bitmap);
   }
+  SHOREMT_RETURN_NOT_OK(count(4, &n, "store"));
+  body->stores.resize(n);
+  for (StoreId& store : body->stores) Get(data, &off, &store);
+  SHOREMT_RETURN_NOT_OK(count(4, &n, "catalog"));
   body->tables.clear();
-  for (uint32_t i = 0; i < tables; ++i) {
+  for (uint32_t i = 0; i < n; ++i) {
     uint32_t len;
-    if (!Get(data, &off, &len) || off + len > data.size()) {
+    if (!Get(data, &off, &len) || len > data.size() - off) {
       return Status::Corruption("truncated checkpoint catalog entry");
     }
     body->tables.emplace_back(data.begin() + off, data.begin() + off + len);
     off += len;
-  }
-  uint32_t stores;
-  if (!Get(data, &off, &stores)) {
-    return Status::Corruption("truncated checkpoint space map");
-  }
-  body->stores.clear();
-  for (uint32_t i = 0; i < stores; ++i) {
-    uint32_t store, pages;
-    if (!Get(data, &off, &store) || !Get(data, &off, &pages)) {
-      return Status::Corruption("truncated checkpoint store entry");
-    }
-    std::vector<PageNum> list(pages);
-    for (uint32_t p = 0; p < pages; ++p) {
-      uint64_t page;
-      if (!Get(data, &off, &page)) {
-        return Status::Corruption("truncated checkpoint page list");
-      }
-      list[p] = page;
-    }
-    body->stores.emplace_back(store, std::move(list));
   }
   return Status::Ok();
 }

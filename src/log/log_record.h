@@ -118,21 +118,25 @@ struct CheckpointTxn {
 };
 
 /// Payload of a kCheckpoint record. Besides the classic redo low-water
-/// mark and active-transaction table, it carries a catalog + space-map
-/// snapshot: once segments below the horizon are recycled, the metadata
-/// records that built those maps are gone, so analysis bootstraps from
-/// the snapshot and replays only post-snapshot metadata records (all
-/// apply hooks are idempotent — the snapshot is fuzzy).
+/// mark and active-transaction table, every checkpoint carries the catalog
+/// and the space map: once segments below the horizon are recycled, the
+/// metadata records that built them are gone, so analysis bootstraps from
+/// the newest body and replays only the metadata records after it (all
+/// apply hooks are idempotent — the copy is fuzzy). The space map is the
+/// extent table, one (owner, allocation bitmap) entry per 8-page extent,
+/// so the body stays small enough to ride every checkpoint.
 struct CheckpointBody {
   /// Redo scan start: min(dirty-page-table min rec_lsn, oldest active
   /// transaction's begin LSN). Also the log-recycling horizon.
   Lsn redo_lsn;
   std::vector<CheckpointTxn> active_txns;
-  /// Catalog snapshot: serialized sm-layer TableInfo entries (opaque to
-  /// the log layer).
+  /// Space map: the extent table indexed by extent id (unowned entries
+  /// included), and every store id, so a store with no pages survives.
+  std::vector<ExtentEntry> extents;
+  std::vector<StoreId> stores;
+  /// Catalog: serialized sm-layer TableInfo entries (opaque to the log
+  /// layer).
   std::vector<std::vector<uint8_t>> tables;
-  /// Space snapshot: store → pages in allocation order.
-  std::vector<std::pair<StoreId, std::vector<PageNum>>> stores;
 };
 
 void SerializeCheckpoint(const CheckpointBody& body, std::vector<uint8_t>* out);

@@ -86,12 +86,10 @@ struct StorageOptions {
   /// records it, Recycle frees segments, recovery redoes only the tail.
   bool checkpoint_daemon = false;
   uint64_t checkpoint_interval_ms = 100;
-  /// The catalog/space snapshot in a checkpoint body is O(database
-  /// pages); it rides only every Nth checkpoint (1 = every one). The
-  /// in-between checkpoints still record the redo low-water mark and the
-  /// active-transaction table, but log recycling is clamped to the
-  /// newest snapshot-carrying checkpoint record so recovery's analysis
-  /// can always bootstrap the metadata maps.
+  /// Unused: nothing reads it. Every checkpoint carries the catalog and
+  /// the extent map, and recycles the log to its own redo LSN. It stays
+  /// declared only because the benchmark driver still reads it; the
+  /// benchmark change that stops reading it deletes it.
   size_t checkpoint_snapshot_every = 4;
   /// Cursor range scans prefetch up to this many upcoming heap/leaf pages
   /// through the buffer pool's detached async-read path (0 = off). Issued

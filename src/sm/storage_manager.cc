@@ -41,7 +41,7 @@ Status DeserializeTableInfo(std::span<const uint8_t> data, TableInfo* info) {
   if (data.size() < 4) return Status::Corruption("catalog entry truncated");
   uint32_t len;
   std::memcpy(&len, data.data(), 4);
-  if (data.size() < 4 + len + 16) {
+  if (data.size() < size_t{4} + len + 16) {
     return Status::Corruption("catalog entry truncated");
   }
   info->name.assign(reinterpret_cast<const char*>(data.data() + 4), len);
@@ -595,16 +595,9 @@ Result<Lsn> StorageManager::Checkpoint() {
                                             : pool_->ScanMinRecLsn();
     return lsn.IsNull() ? log_->next_lsn() : lsn;
   };
-  // The body carries catalog + space snapshots: once segments below the
-  // horizon are recycled, the metadata records that built these maps are
-  // gone, so recovery's analysis bootstraps from the snapshot instead.
-  // The snapshot is O(database pages), so it rides only every Nth
-  // checkpoint (checkpoint_snapshot_every); in between, recycling is
-  // clamped to the newest snapshot-carrying record so analysis can
-  // always reach one.
-  bool full_snapshot = last_snapshot_ckpt_.IsNull() ||
-                       ++ckpts_since_snapshot_ >=
-                           options_.checkpoint_snapshot_every;
+  // The body carries the catalog and the space map: once segments below
+  // the horizon are recycled, the metadata records that built these maps
+  // are gone, so recovery's analysis bootstraps from the newest body.
   auto augment = [this](log::CheckpointBody* body) {
     {
       std::lock_guard<std::mutex> guard(catalog_mutex_);
@@ -615,28 +608,17 @@ Result<Lsn> StorageManager::Checkpoint() {
         body->tables.push_back(std::move(bytes));
       }
     }
-    body->stores = space_->SnapshotStores();
+    space_->Snapshot(&body->stores, &body->extents);
   };
   Lsn redo_lsn;
   SHOREMT_ASSIGN_OR_RETURN(
-      Lsn ck, txns_->TakeCheckpoint(
-                  redo_source,
-                  full_snapshot
-                      ? std::function<void(log::CheckpointBody*)>(augment)
-                      : std::function<void(log::CheckpointBody*)>(),
-                  &redo_lsn));
-  if (full_snapshot) {
-    last_snapshot_ckpt_ = ck;
-    ckpts_since_snapshot_ = 0;
-  }
+      Lsn ck, txns_->TakeCheckpoint(redo_source, augment, &redo_lsn));
   // The checkpoint record is durable (TakeCheckpoint flushes it): whole
   // log segments below the low-water mark can go. Recovery never needs
   // them — redo starts at redo_lsn, undo chains of live transactions are
-  // floored by it, and analysis rebuilds metadata from the newest
-  // snapshot body, which the clamp keeps above the horizon.
-  Lsn recycle_to = redo_lsn;
-  if (recycle_to > last_snapshot_ckpt_) recycle_to = last_snapshot_ckpt_;
-  log_->Recycle(recycle_to);
+  // floored by it, and analysis rebuilds metadata from this record's
+  // body, which sits above it.
+  log_->Recycle(redo_lsn);
   return ck;
 }
 
@@ -815,28 +797,31 @@ Status StorageManager::ApplyMetadata(const log::LogRecord& rec,
       log::CheckpointBody local;
       log::CheckpointBody* body = ckpt_out != nullptr ? ckpt_out : &local;
       SHOREMT_RETURN_NOT_OK(DeserializeCheckpoint(rec.after, body));
-      // Bootstrap metadata from the snapshots (idempotent against the
-      // records already applied and those still ahead).
+      // Bootstrap metadata from the body (idempotent against the records
+      // already applied and those still ahead).
       for (const auto& t : body->tables) {
         TableInfo info;
         SHOREMT_RETURN_NOT_OK(DeserializeTableInfo(t, &info));
         RaiseNextStore(std::max(info.heap_store, info.index_store));
         RegisterTable(info);
       }
-      for (const auto& [store, pages] : body->stores) {
+      for (StoreId store : body->stores) {
         RaiseNextStore(store);
         SHOREMT_RETURN_NOT_OK(space_->ApplyCreateStore(store));
-        for (PageNum page : pages) {
-          SHOREMT_RETURN_NOT_OK(space_->ApplyAllocPage(store, page));
-        }
+      }
+      for (ExtentId x = 0; x < body->extents.size(); ++x) {
+        if (body->extents[x].owner == kInvalidStoreId) continue;
+        SHOREMT_RETURN_NOT_OK(space_->ApplyExtent(x, body->extents[x]));
       }
       return Status::Ok();
     }
     case LogRecordType::kCreateStore:
       RaiseNextStore(rec.store);
       return space_->ApplyCreateStore(rec.store);
-    case LogRecordType::kAllocPage:
-      return space_->ApplyAllocPage(rec.store, rec.page);
+    case LogRecordType::kAllocPage: {
+      auto bit = static_cast<uint8_t>(1u << rec.page % kPagesPerExtent);
+      return space_->ApplyExtent(ExtentOf(rec.page), {rec.store, bit});
+    }
     case LogRecordType::kCatalog: {
       TableInfo info;
       SHOREMT_RETURN_NOT_OK(DeserializeTableInfo(rec.after, &info));
@@ -854,9 +839,9 @@ Status StorageManager::AnalyzeLog(AnalysisState* out,
   // Analysis: scan the LIVE log (from the reclamation horizon — with
   // recycling, earlier segments are gone), find the last checkpoint, and
   // rebuild the space map + catalog + active transaction table. Metadata
-  // below the horizon comes from the checkpoint body's snapshots; records
-  // above it are re-applied through idempotent hooks, so the fuzzy
-  // overlap between the two is harmless.
+  // below the horizon comes from each checkpoint body's catalog and space
+  // map; records above it are re-applied through idempotent hooks, so the
+  // fuzzy overlap between the two is harmless.
   Lsn redo_start = log_->reclaim_horizon();
   // Losers evidenced by scanned records. Kept separate from checkpoint
   // hearsay: only the LAST checkpoint's active table is merged in, at the

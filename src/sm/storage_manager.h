@@ -134,9 +134,9 @@ class StorageManager {
   /// B-tree payload. Metadata records are no-ops here — feed them to
   /// ApplyMetadata.
   Status ApplyRedo(const log::LogRecord& rec, Lsn end, bool force);
-  /// Applies a metadata record (kCheckpoint body snapshots, kCreateStore,
-  /// kAllocPage, kCatalog) to the catalog/space maps; idempotent. Other
-  /// record types are no-ops. `ckpt_out`, when non-null, receives the
+  /// Applies a metadata record (a kCheckpoint body's catalog and space
+  /// map, kCreateStore, kAllocPage, kCatalog) to the catalog/space maps;
+  /// idempotent. Other record types are no-ops. `ckpt_out`, when non-null, receives the
   /// deserialized checkpoint body (analysis wants its active-transaction
   /// table and redo LSN; the replica does not).
   Status ApplyMetadata(const log::LogRecord& rec,
@@ -271,11 +271,8 @@ class StorageManager {
   /// Serializes Checkpoint() end to end (snapshot → record → recycle):
   /// overlapping checkpoints could append their records out of snapshot
   /// order, letting recovery adopt a stale active-transaction table whose
-  /// commit records a fresher checkpoint already recycled. Also guards
-  /// the snapshot-cadence state below.
+  /// commit records a fresher checkpoint already recycled.
   std::mutex ckpt_api_mutex_;
-  Lsn last_snapshot_ckpt_;           ///< Newest snapshot-carrying record.
-  size_t ckpts_since_snapshot_ = 0;  ///< Counter toward the next snapshot.
 
   /// Background checkpoint daemon (shared cv-daemon scaffold, like the
   /// page cleaner): interval tick + pressure wakes, with kick storms

@@ -1,6 +1,8 @@
 #include "space/space_manager.h"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 namespace shoremt::space {
 
@@ -9,11 +11,11 @@ namespace {
 std::atomic<uint64_t> g_next_instance_id{1};
 
 /// Thread-local extent→store cache, direct-mapped by extent id. Entries
-/// are tagged with the owning SpaceManager instance and its epoch so drops
-/// and manager teardown invalidate them implicitly.
+/// are tagged with the owning SpaceManager instance so manager teardown
+/// invalidates them implicitly; an extent's owner never changes, so
+/// nothing else can make an entry stale.
 struct ExtentCacheEntry {
   uint64_t instance = 0;
-  uint64_t epoch = 0;
   ExtentId extent = 0;
   StoreId store = kInvalidStoreId;
   bool valid = false;
@@ -47,20 +49,7 @@ Status SpaceManager::CreateStore(StoreId store) {
   if (stores_.contains(store)) {
     return Status::AlreadyExists("store exists");
   }
-  stores_.emplace(store, StoreInfo{});
-  return Status::Ok();
-}
-
-Status SpaceManager::DropStore(StoreId store) {
-  sync::ConfigurableMutex::Guard guard(space_mutex_);
-  auto it = stores_.find(store);
-  if (it == stores_.end()) return Status::NotFound("no such store");
-  for (ExtentId e : it->second.extents) {
-    extents_[e] = ExtentEntry{};
-    free_extents_.push_back(e);
-  }
-  stores_.erase(it);
-  epoch_.fetch_add(1, std::memory_order_release);
+  stores_.try_emplace(store);
   return Status::Ok();
 }
 
@@ -72,47 +61,30 @@ bool SpaceManager::StoreExists(StoreId store) const {
 Result<PageNum> SpaceManager::AllocateLocked(StoreId store) {
   auto it = stores_.find(store);
   if (it == stores_.end()) return Status::NotFound("no such store");
-  StoreInfo& info = it->second;
+  std::vector<ExtentId>& mine = it->second;
 
-  // Fill the active extent before grabbing another (Shore's pattern).
-  if (info.has_active_extent) {
-    ExtentEntry& e = extents_[info.active_extent];
+  // Fill the last extent before grabbing another (Shore's pattern).
+  if (!mine.empty()) {
+    ExtentEntry& e = extents_[mine.back()];
     if (e.alloc_bitmap != 0xff) {
-      for (uint32_t i = 0; i < kPagesPerExtent; ++i) {
-        if ((e.alloc_bitmap & (1u << i)) == 0) {
-          e.alloc_bitmap |= (1u << i);
-          PageNum page = info.active_extent * kPagesPerExtent + i;
-          info.pages.push_back(page);
-          info.cached_last_page = page;
-          return page;
-        }
-      }
+      uint32_t i = std::countr_one(e.alloc_bitmap);
+      e.alloc_bitmap |= 1u << i;
+      return mine.back() * kPagesPerExtent + i;
     }
   }
 
-  // Need a new extent: reuse a freed one or append to the volume.
-  ExtentId extent;
-  if (!free_extents_.empty()) {
-    extent = free_extents_.back();
-    free_extents_.pop_back();
-  } else {
-    extent = extents_.size();
-    extents_.push_back(ExtentEntry{});
-  }
-  extents_[extent].owner = store;
-  extents_[extent].alloc_bitmap = 0x01;
-  info.extents.push_back(extent);
-  info.active_extent = extent;
-  info.has_active_extent = true;
+  // Need a new extent: the next one past the end of the map.
+  ExtentId extent = extents_.size();
+  extents_.push_back(ExtentEntry{store, 0x01});
+  mine.push_back(extent);
+  SHOREMT_RETURN_NOT_OK(CoverExtent(extent));
+  return extent * kPagesPerExtent;
+}
 
-  PageNum page = extent * kPagesPerExtent;
+Status SpaceManager::CoverExtent(ExtentId extent) {
   PageNum needed = (extent + 1) * kPagesPerExtent;
-  if (volume_->NumPages() < needed) {
-    SHOREMT_RETURN_NOT_OK(volume_->Extend(needed));
-  }
-  info.pages.push_back(page);
-  info.cached_last_page = page;
-  return page;
+  if (volume_->NumPages() < needed) return volume_->Extend(needed);
+  return Status::Ok();
 }
 
 Result<PageNum> SpaceManager::AllocatePage(StoreId store,
@@ -139,45 +111,9 @@ Result<PageNum> SpaceManager::AllocatePage(StoreId store,
   return *r;
 }
 
-Status SpaceManager::FreePage(PageNum page) {
-  sync::ConfigurableMutex::Guard guard(space_mutex_);
-  ExtentId extent = ExtentOf(page);
-  if (extent >= extents_.size()) return Status::NotFound("bad page");
-  ExtentEntry& e = extents_[extent];
-  uint32_t bit = 1u << (page % kPagesPerExtent);
-  if (e.owner == kInvalidStoreId || (e.alloc_bitmap & bit) == 0) {
-    return Status::NotFound("page not allocated");
-  }
-  e.alloc_bitmap &= ~bit;
-  auto it = stores_.find(e.owner);
-  if (it != stores_.end()) {
-    StoreInfo& info = it->second;
-    info.pages.erase(std::remove(info.pages.begin(), info.pages.end(), page),
-                     info.pages.end());
-    if (info.cached_last_page == page) {
-      info.cached_last_page =
-          info.pages.empty() ? kInvalidPageNum : info.pages.back();
-    }
-    if (e.alloc_bitmap == 0) {
-      info.extents.erase(
-          std::remove(info.extents.begin(), info.extents.end(), extent),
-          info.extents.end());
-      if (info.has_active_extent && info.active_extent == extent) {
-        info.has_active_extent = false;
-      }
-      e = ExtentEntry{};
-      free_extents_.push_back(extent);
-    }
-  }
-  epoch_.fetch_add(1, std::memory_order_release);
-  return Status::Ok();
-}
-
 bool SpaceManager::CacheLookup(ExtentId extent, StoreId* store) const {
   const ExtentCacheEntry& e = t_extent_cache[extent % kExtentCacheSlots];
-  if (e.valid && e.instance == instance_id_ &&
-      e.epoch == epoch_.load(std::memory_order_acquire) &&
-      e.extent == extent) {
+  if (e.valid && e.instance == instance_id_ && e.extent == extent) {
     *store = e.store;
     return true;
   }
@@ -187,7 +123,6 @@ bool SpaceManager::CacheLookup(ExtentId extent, StoreId* store) const {
 void SpaceManager::CacheInsert(ExtentId extent, StoreId store) const {
   ExtentCacheEntry& e = t_extent_cache[extent % kExtentCacheSlots];
   e.instance = instance_id_;
-  e.epoch = epoch_.load(std::memory_order_acquire);
   e.extent = extent;
   e.store = store;
   e.valid = true;
@@ -236,83 +171,69 @@ Result<PageNum> SpaceManager::LastPageOf(StoreId store) {
   sync::ConfigurableMutex::Guard guard(space_mutex_);
   auto it = stores_.find(store);
   if (it == stores_.end()) return Status::NotFound("no such store");
-  StoreInfo& info = it->second;
-  if (info.pages.empty()) return Status::NotFound("store has no pages");
-  if (options_.last_page_cache && info.cached_last_page != kInvalidPageNum) {
-    return info.cached_last_page;
+  const std::vector<ExtentId>& mine = it->second;
+  if (mine.empty()) return Status::NotFound("store has no pages");
+  if (options_.last_page_cache) {
+    uint8_t bits = extents_[mine.back()].alloc_bitmap;
+    return mine.back() * kPagesPerExtent + std::bit_width(bits) - 1;
   }
   // Walk the page chain to its end — O(pages) per lookup, O(n^2) per load
   // (§7.6's "searching a linked list of pages to find the last").
   PageNum last = kInvalidPageNum;
-  for (PageNum p : info.pages) {
-    stats_.last_page_scan_steps.fetch_add(1, std::memory_order_relaxed);
-    last = p;
+  for (ExtentId x : mine) {
+    for (uint32_t i = 0; i < kPagesPerExtent; ++i) {
+      if ((extents_[x].alloc_bitmap & (1u << i)) == 0) continue;
+      stats_.last_page_scan_steps.fetch_add(1, std::memory_order_relaxed);
+      last = x * kPagesPerExtent + i;
+    }
   }
   return last;
-}
-
-Result<std::vector<PageNum>> SpaceManager::PagesOf(StoreId store) const {
-  sync::ConfigurableMutex::Guard guard(space_mutex_);
-  auto it = stores_.find(store);
-  if (it == stores_.end()) return Status::NotFound("no such store");
-  return it->second.pages;
 }
 
 Result<uint64_t> SpaceManager::PageCountOf(StoreId store) const {
   sync::ConfigurableMutex::Guard guard(space_mutex_);
   auto it = stores_.find(store);
   if (it == stores_.end()) return Status::NotFound("no such store");
-  return static_cast<uint64_t>(it->second.pages.size());
+  uint64_t count = 0;
+  for (ExtentId x : it->second) {
+    count += std::popcount(extents_[x].alloc_bitmap);
+  }
+  return count;
 }
 
 Status SpaceManager::ApplyCreateStore(StoreId store) {
   sync::ConfigurableMutex::Guard guard(space_mutex_);
-  stores_.try_emplace(store, StoreInfo{});
+  stores_.try_emplace(store);
   return Status::Ok();
 }
 
-Status SpaceManager::ApplyAllocPage(StoreId store, PageNum page) {
+Status SpaceManager::ApplyExtent(ExtentId extent, ExtentEntry entry) {
   sync::ConfigurableMutex::Guard guard(space_mutex_);
-  // A missing store means its kCreateStore record sits below the recycled
-  // horizon; materialize it — the checkpoint snapshot confirms it later.
-  StoreInfo& info = stores_.try_emplace(store, StoreInfo{}).first->second;
-  ExtentId extent = ExtentOf(page);
-  while (extents_.size() <= extent) extents_.push_back(ExtentEntry{});
+  if (extent == 0 || entry.owner == kInvalidStoreId ||
+      entry.alloc_bitmap == 0) {
+    return Status::Corruption("invalid space map entry for extent " +
+                              std::to_string(extent));
+  }
+  if (extents_.size() <= extent) extents_.resize(extent + 1);
   ExtentEntry& e = extents_[extent];
-  uint32_t bit = 1u << (page % kPagesPerExtent);
-  if (e.owner == store && (e.alloc_bitmap & bit) != 0) {
-    return Status::Ok();  // Already applied (idempotent redo).
-  }
   if (e.owner == kInvalidStoreId) {
-    e.owner = store;
-    info.extents.push_back(extent);
-    free_extents_.erase(
-        std::remove(free_extents_.begin(), free_extents_.end(), extent),
-        free_extents_.end());
-  } else if (e.owner != store) {
-    return Status::Corruption("extent owned by another store");
+    e.owner = entry.owner;
+    std::vector<ExtentId>& mine = stores_[entry.owner];
+    mine.insert(std::upper_bound(mine.begin(), mine.end(), extent), extent);
+  } else if (e.owner != entry.owner) {
+    return Status::Corruption("extent " + std::to_string(extent) +
+                              " owned by another store");
   }
-  e.alloc_bitmap |= bit;
-  info.pages.push_back(page);
-  info.cached_last_page = page;
-  info.active_extent = extent;
-  info.has_active_extent = true;
-  PageNum needed = (extent + 1) * kPagesPerExtent;
-  if (volume_->NumPages() < needed) {
-    SHOREMT_RETURN_NOT_OK(volume_->Extend(needed));
-  }
-  return Status::Ok();
+  e.alloc_bitmap |= entry.alloc_bitmap;
+  return CoverExtent(extent);
 }
 
-std::vector<std::pair<StoreId, std::vector<PageNum>>>
-SpaceManager::SnapshotStores() const {
+void SpaceManager::Snapshot(std::vector<StoreId>* stores,
+                            std::vector<ExtentEntry>* extents) const {
   sync::ConfigurableMutex::Guard guard(space_mutex_);
-  std::vector<std::pair<StoreId, std::vector<PageNum>>> out;
-  out.reserve(stores_.size());
-  for (const auto& [store, info] : stores_) {
-    out.emplace_back(store, info.pages);
-  }
-  return out;
+  stores->clear();
+  for (const auto& entry : stores_) stores->push_back(entry.first);
+  *extents = extents_;
 }
 
 }  // namespace shoremt::space

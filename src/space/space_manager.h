@@ -29,8 +29,9 @@ struct SpaceOptions {
   /// Thread-local cache of recent extent→store lookups; cuts metadata
   /// checks per record insert by >95% (§6.2.2 problem 1).
   bool extent_cache = true;
-  /// Per-store cached last page; otherwise finding the append target walks
-  /// the store's page list — the O(n^2) insertion pattern of §7.6.
+  /// Per-store O(1) append target (the highest allocated page of the
+  /// store's last extent); otherwise finding it walks every page of the
+  /// store — the O(n^2) insertion pattern of §7.6.
   bool last_page_cache = true;
   /// Emulates original Shore's logical-logging ownership verification by
   /// scanning the whole extent table instead of indexing into it.
@@ -47,10 +48,13 @@ struct SpaceStats {
 };
 
 /// Free space and metadata manager (§2.2.6): owns the extent map (which
-/// store each 8-page extent belongs to, which pages in it are allocated)
-/// and the per-store page lists. Pages are handed out extent-at-a-time per
-/// store, filling each extent before grabbing the next — the access
-/// pattern that makes the thread-local extent cache effective.
+/// store each 8-page extent belongs to, which pages in it are allocated).
+/// Extents are handed out in increasing id order and never come back, and
+/// a store fills its last extent lowest page first before taking another,
+/// so a store's allocation order, last page and page count all follow from
+/// its extents and their bitmaps. The same access pattern makes the
+/// thread-local extent cache effective, and because an extent's owner
+/// never changes once set, a cached entry can never go stale.
 class SpaceManager {
  public:
   /// Runs with the new page number before the allocation is published;
@@ -65,61 +69,46 @@ class SpaceManager {
 
   /// Registers a store. Fails with AlreadyExists if present.
   Status CreateStore(StoreId store);
-  /// Removes a store and releases its extents.
-  Status DropStore(StoreId store);
   bool StoreExists(StoreId store) const;
 
   /// Allocates one page for `store`, growing the volume when needed, and
   /// runs `init` on it (inside or outside the critical section depending
   /// on SpaceOptions::refactored_alloc).
   Result<PageNum> AllocatePage(StoreId store, const PageInitFn& init);
-  /// Returns `page` to the free pool.
-  Status FreePage(PageNum page);
 
   /// Store owning `page` (the per-insert metadata check of §6.2.2).
   Result<StoreId> OwnerOf(PageNum page);
   /// The current append target of `store` (last allocated page).
   Result<PageNum> LastPageOf(StoreId store);
-  /// All pages of `store` in allocation order (heap scans, drop, redo).
-  Result<std::vector<PageNum>> PagesOf(StoreId store) const;
   /// Number of pages allocated to `store`.
   Result<uint64_t> PageCountOf(StoreId store) const;
 
-  /// Idempotent redo hooks used by recovery to rebuild the maps. With a
-  /// recycled log the kCreateStore record may be gone (it lives below the
-  /// checkpoint horizon, replaced by the checkpoint's space snapshot), so
-  /// ApplyAllocPage creates a missing store instead of failing — the
-  /// snapshot fills in the rest when the scan reaches the checkpoint.
+  /// Idempotent redo hooks used by recovery, replica replay and restore
+  /// to rebuild the map. ApplyExtent is the one per-extent apply: it ORs
+  /// `entry`'s bitmap into `extent`, claims the extent for `entry.owner`
+  /// if it is unowned, and grows the volume to cover it. Corruption if
+  /// another store owns the extent, or if the entry names extent 0, no
+  /// store or no page. A missing store is created: with a recycled log
+  /// its kCreateStore record may be gone.
   Status ApplyCreateStore(StoreId store);
-  Status ApplyAllocPage(StoreId store, PageNum page);
+  Status ApplyExtent(ExtentId extent, ExtentEntry entry);
 
-  /// Fuzzy snapshot of every store's page list (allocation order), taken
-  /// under the space mutex — the checkpoint body's space map. Replaying it
-  /// through the Apply hooks reproduces the allocation state without the
-  /// (possibly recycled) metadata records.
-  std::vector<std::pair<StoreId, std::vector<PageNum>>> SnapshotStores()
-      const;
+  /// Fuzzy copy of the map, taken under the space mutex — the checkpoint
+  /// body's space map: every store id (so a store with no pages survives)
+  /// and the extent table indexed by extent id. Replaying it through the
+  /// Apply hooks reproduces the allocation state without the (possibly
+  /// recycled) metadata records.
+  void Snapshot(std::vector<StoreId>* stores,
+                std::vector<ExtentEntry>* extents) const;
 
   const SpaceStats& stats() const { return stats_; }
   const SpaceOptions& options() const { return options_; }
 
  private:
-  struct ExtentEntry {
-    StoreId owner = kInvalidStoreId;
-    uint8_t alloc_bitmap = 0;  ///< Bit i set = page i of the extent in use.
-  };
-
-  struct StoreInfo {
-    std::vector<ExtentId> extents;
-    std::vector<PageNum> pages;     ///< Allocation order (page chain).
-    ExtentId active_extent = 0;     ///< Extent currently being filled.
-    bool has_active_extent = false;
-    PageNum cached_last_page = kInvalidPageNum;
-  };
-
-  /// Allocation under space_mutex_; returns the new page and whether the
-  /// volume must grow to `volume_pages_needed`.
+  /// Allocation under space_mutex_.
   Result<PageNum> AllocateLocked(StoreId store);
+  /// Extends the volume to cover `extent`.
+  Status CoverExtent(ExtentId extent);
   /// Consults/updates the thread-local extent cache.
   bool CacheLookup(ExtentId extent, StoreId* store) const;
   void CacheInsert(ExtentId extent, StoreId store) const;
@@ -128,12 +117,11 @@ class SpaceManager {
   SpaceOptions options_;
   sync::SyncStats mutex_stats_;
   mutable sync::ConfigurableMutex space_mutex_;
+  /// Indexed by extent id; extent 0 (the volume header) is reserved.
   std::vector<ExtentEntry> extents_;
-  std::vector<ExtentId> free_extents_;
-  std::unordered_map<StoreId, StoreInfo> stores_;
+  /// Store → its extents in ascending order; the last is being filled.
+  std::unordered_map<StoreId, std::vector<ExtentId>> stores_;
   SpaceStats stats_;
-  /// Bumped on DropStore so stale thread-local cache entries miss.
-  std::atomic<uint64_t> epoch_{1};
   /// Distinguishes this instance in the shared thread-local cache.
   const uint64_t instance_id_;
 };

@@ -187,10 +187,10 @@ Result<Lsn> TxnManager::TakeCheckpoint(
     if (!floor.IsNull() && floor < redo) redo = floor;
     body.redo_lsn = redo;
   }
-  // The catalog/space snapshots are fuzzy (their own latches, outside the
-  // transaction freeze): analysis re-applies post-snapshot metadata
-  // records through idempotent hooks, so over-inclusion is harmless.
-  if (augment) augment(&body);
+  // The catalog and space map are fuzzy (their own latches, outside the
+  // transaction freeze): analysis re-applies later metadata records
+  // through idempotent hooks, so over-inclusion is harmless.
+  augment(&body);
   log::LogRecord rec;
   rec.type = log::LogRecordType::kCheckpoint;
   SerializeCheckpoint(body, &rec.after);

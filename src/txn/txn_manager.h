@@ -153,16 +153,16 @@ class TxnManager {
   /// dirty-page table's incremental minimum (§7.7). The body's redo_lsn is
   /// that value floored by the minimum begin LSN over active transactions,
   /// which makes it simultaneously the redo scan start AND a safe
-  /// log-recycling horizon (no live undo chain below it). `augment`, if
-  /// provided, runs after the transaction-table snapshot to add the
-  /// catalog/space snapshots to the body (the storage manager owns those).
+  /// log-recycling horizon (no live undo chain below it). `augment` runs
+  /// after the transaction-table snapshot to add the catalog and space map
+  /// to the body (the storage manager owns those).
   /// `redo_lsn_out`, if non-null, receives the body's redo_lsn — the LSN
   /// the caller may Recycle the log up to once this returns (the
   /// checkpoint record is already durable then). Returns the checkpoint's
   /// LSN.
   Result<Lsn> TakeCheckpoint(
       const std::function<Lsn()>& redo_lsn_source,
-      const std::function<void(log::CheckpointBody*)>& augment = {},
+      const std::function<void(log::CheckpointBody*)>& augment,
       Lsn* redo_lsn_out = nullptr);
 
   /// LSN of the most recent completed checkpoint (null if none).

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -330,6 +331,90 @@ TEST(CheckpointRecycleTest, BoundedLogCrashRecoveryMatchesModel) {
   ASSERT_TRUE(session->Commit().ok());
 }
 
+/// Every checkpoint carries the catalog and space map, so each one
+/// recycles the log up to its own redo LSN: with no dirty page and no
+/// active transaction, at most the segment holding that LSN and the one the
+/// checkpoint record spills into stay live. Once recycling has passed the
+/// creation records of a loaded table and of an empty one, a crash and
+/// reopen restores both from the newest body, and the space map hands out
+/// no page twice.
+TEST(CheckpointRecycleTest, RecyclingFollowsEveryCheckpoint) {
+  io::MemVolume volume;
+  LogStorage wal(0, 4096);
+  sm::TableInfo loaded_info;
+  std::set<PageNum> loaded_pages;
+  uint64_t rows = 0;
+  {
+    auto db = std::move(*sm::StorageManager::Open(
+        BoundedLogOptions(/*cleaner=*/false, /*checkpoint=*/false), &volume,
+        &wal));
+    auto s = db->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto loaded = s->CreateTable("loaded");
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_TRUE(s->CreateTable("empty").ok());
+    ASSERT_TRUE(s->Commit().ok());
+    loaded_info = *loaded;
+    Lsn created = db->log()->next_lsn();
+    for (int round = 0; round < 8; ++round) {
+      Lsn start = db->log()->next_lsn();
+      while (db->log()->next_lsn().value - start.value < 3 * 4096) {
+        ASSERT_TRUE(s->Begin().ok());
+        for (int i = 0; i < 10; ++i, ++rows) {
+          auto rid = s->Insert(*loaded, rows, Row(rows));
+          ASSERT_TRUE(rid.ok());
+          loaded_pages.insert(rid->page);
+        }
+        ASSERT_TRUE(s->Commit().ok());
+      }
+      ASSERT_TRUE(db->pool()->FlushAll().ok());
+      ASSERT_TRUE(db->Checkpoint().ok());
+      EXPECT_LE(db->log()->live_segments(), 2u) << "round " << round + 1;
+    }
+    EXPECT_GT(db->log()->reclaim_horizon(), created);
+    s.reset();
+    db->SimulateCrash();
+  }
+  auto reopened = sm::StorageManager::Open(BoundedLogOptions(false, false),
+                                           &volume, &wal);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto& db = *reopened;
+  auto s = db->OpenSession();
+  ASSERT_TRUE(s->Begin().ok());
+  auto loaded = s->OpenTable("loaded");
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->heap_store, loaded_info.heap_store);
+  auto empty = s->OpenTable("empty");
+  ASSERT_TRUE(empty.ok());
+  std::set<PageNum> empty_pages;
+  for (uint64_t key = 0; key < 100; ++key) {
+    auto rid = s->Insert(*empty, key, Row(key));
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    empty_pages.insert(rid->page);
+  }
+  ASSERT_TRUE(s->Insert(*loaded, rows, Row(rows)).ok());
+  ASSERT_TRUE(s->Commit().ok());
+  for (PageNum p : loaded_pages) {
+    auto owner = db->space()->OwnerOf(p);
+    ASSERT_TRUE(owner.ok()) << "page " << p;
+    EXPECT_EQ(*owner, loaded->heap_store) << "page " << p;
+    EXPECT_FALSE(empty_pages.contains(p)) << "page " << p << " reused";
+  }
+  for (PageNum p : empty_pages) {
+    EXPECT_EQ(*db->space()->OwnerOf(p), empty->heap_store) << "page " << p;
+  }
+  ASSERT_TRUE(s->Begin().ok());
+  uint64_t seen = 0;
+  auto cur = s->OpenCursor(*loaded);
+  for (auto st = cur.Seek(0); cur.Valid(); st = cur.Next()) {
+    ASSERT_EQ(cur.key(), seen);
+    ++seen;
+  }
+  EXPECT_EQ(seen, rows + 1);
+  EXPECT_TRUE(s->Read(*empty, 99).ok());
+  ASSERT_TRUE(s->Commit().ok());
+}
+
 /// Randomized property: recycling mid-workload (checkpoints interleaved
 /// with updates/deletes/aborts and an in-flight loser at the crash) never
 /// loses committed state or leaks uncommitted state — recovery from the
@@ -440,18 +525,32 @@ TEST(CheckpointRecycleTest, HotSetKeepsTheLogBounded) {
     ASSERT_TRUE(session->Insert(*table, key, Row(key)).ok());
   }
   ASSERT_TRUE(session->Commit().ok());
-  size_t peak = 0;
+  std::vector<size_t> live;  // Live segments after each commit.
+  live.reserve(40000);
   for (uint64_t i = 0; i < 40000; ++i) {
     ASSERT_TRUE(session->Begin().ok());
     ASSERT_TRUE(session->Update(*table, i % 8, Row(i)).ok());
     ASSERT_TRUE(session->Commit().ok());
-    peak = std::max(peak, db->log()->live_segments());
+    live.push_back(db->log()->live_segments());
   }
-  // ~2,350 segments are allocated over the loop. Live segments track the
-  // checkpoint cadence (35–60 on a 4-vCPU host, ~30 before the horizon
-  // rule); an anchor that freezes never recycles and keeps them all.
+  std::sort(live.begin(), live.end());
+  size_t p90 = live[live.size() * 9 / 10];
+  size_t peak = live.back();
+  RecordProperty("p90_live_segments", static_cast<int>(p90));
+  RecordProperty("peak_live_segments", static_cast<int>(peak));
+  // ~2,350 segments are allocated over the loop. Every checkpoint recycles
+  // to its own redo LSN, so live segments follow the pressure threshold
+  // (4 here). On a 4-vCPU host the 90th percentile read 9 in 20 runs alone and
+  // 6–15 in 56 runs with two to four copies at once; when recycling
+  // waited for every 4th checkpoint it read 27–30 alone and 20–40 two at
+  // a time. The peak is the scheduler's: a starved daemon lets the log
+  // grow (11–30 alone, up to 149 with four copies running), so it only
+  // has to stay far below an anchor that freezes, which never recycles
+  // and keeps them all.
   uint64_t allocated = db->log()->stats().segments_allocated.load();
   EXPECT_GT(db->log()->stats().segments_recycled.load(), allocated / 2);
+  size_t pressure = db->options().log.recycle_pressure_segments;
+  EXPECT_LT(p90, 5 * pressure) << "90th percentile of live segments " << p90;
   EXPECT_LT(peak, allocated / 8) << "peak live segments " << peak;
 }
 

@@ -67,10 +67,16 @@ TEST(LogRecordTest, CheckpointBodyRoundtrip) {
   CheckpointBody body;
   body.redo_lsn = Lsn{777};
   body.active_txns = {{1, Lsn{10}, Lsn{3}}, {5, Lsn{99}, Lsn{42}}};
+  // Extent 0 reserved, extent 1 full and owned by store 7, extent 2 free,
+  // extent 3 holding two pages of store 7; store 8 has no pages.
+  body.extents = {{0, 0xff}, {7, 0xff}, {0, 0}, {7, 0b11}};
+  body.stores = {7, 8};
   body.tables = {{0xaa, 0xbb}, {0xcc}};
-  body.stores = {{7, {1, 2, 9}}, {8, {}}};
   std::vector<uint8_t> bytes;
   SerializeCheckpoint(body, &bytes);
+  // 5 bytes per extent: the map is O(extents), not O(pages).
+  EXPECT_EQ(bytes.size(), 8 + 4 + 2 * 24 + 4 + 4 * 5 + 4 + 2 * 4 + 4 +
+                              (4 + 2) + (4 + 1));
   CheckpointBody back;
   ASSERT_TRUE(DeserializeCheckpoint(bytes, &back).ok());
   EXPECT_EQ(back.redo_lsn, Lsn{777});
@@ -78,16 +84,39 @@ TEST(LogRecordTest, CheckpointBodyRoundtrip) {
   EXPECT_EQ(back.active_txns[1].id, 5u);
   EXPECT_EQ(back.active_txns[1].last_lsn, Lsn{99});
   EXPECT_EQ(back.active_txns[1].first_lsn, Lsn{42});
+  EXPECT_EQ(back.extents, body.extents);
+  EXPECT_EQ(back.stores, (std::vector<StoreId>{7, 8}));
   ASSERT_EQ(back.tables.size(), 2u);
   EXPECT_EQ(back.tables[0], (std::vector<uint8_t>{0xaa, 0xbb}));
-  ASSERT_EQ(back.stores.size(), 2u);
-  EXPECT_EQ(back.stores[0].first, 7u);
-  EXPECT_EQ(back.stores[0].second, (std::vector<PageNum>{1, 2, 9}));
-  EXPECT_TRUE(back.stores[1].second.empty());
   // A truncated body must surface as corruption, not a bogus parse.
-  std::span<const uint8_t> half(bytes.data(), bytes.size() / 2);
-  EXPECT_EQ(DeserializeCheckpoint(half, &back).code(),
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::span<const uint8_t> part(bytes.data(), cut);
+    EXPECT_EQ(DeserializeCheckpoint(part, &back).code(),
+              StatusCode::kCorruption)
+        << "cut at " << cut;
+  }
+}
+
+TEST(LogRecordTest, CheckpointCountsAreCheckedBeforeSizing) {
+  // redo LSN, no transactions, then a claim of 2^32 - 1 extents with no
+  // bytes behind it: Corruption, not a 20 GiB vector.
+  std::vector<uint8_t> bytes(16, 0);
+  std::memset(bytes.data() + 12, 0xff, 4);
+  CheckpointBody back;
+  EXPECT_EQ(DeserializeCheckpoint(bytes, &back).code(),
             StatusCode::kCorruption);
+  // The same for the transaction, store and catalog counts.
+  CheckpointBody empty;
+  std::vector<uint8_t> valid;
+  SerializeCheckpoint(empty, &valid);
+  ASSERT_EQ(valid.size(), 24u);
+  for (size_t at : {8, 12, 16, 20}) {
+    std::vector<uint8_t> bad = valid;
+    std::memset(bad.data() + at, 0xff, 4);
+    EXPECT_EQ(DeserializeCheckpoint(bad, &back).code(),
+              StatusCode::kCorruption)
+        << "count at offset " << at;
+  }
 }
 
 TEST(LogStorageTest, AppendAndRead) {

@@ -363,7 +363,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LogRecordProperty,
 
 class SpaceProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SpaceProperty, AllocFreeConservesState) {
+TEST_P(SpaceProperty, AllocationMatchesModel) {
   Rng rng(GetParam());
   io::MemVolume volume;
   space::SpaceManager space(&volume, space::SpaceOptions{});
@@ -372,21 +372,24 @@ TEST_P(SpaceProperty, AllocFreeConservesState) {
     ASSERT_TRUE(space.CreateStore(s).ok());
   }
   std::map<PageNum, StoreId> model;  // page → owner.
+  std::map<StoreId, PageNum> last;   // store → newest page.
   for (int op = 0; op < 4000; ++op) {
-    if (rng.Bernoulli(0.6) || model.empty()) {
-      StoreId s = 1 + static_cast<StoreId>(rng.Uniform(kStores));
-      auto page = space.AllocatePage(s, nullptr);
-      ASSERT_TRUE(page.ok());
-      ASSERT_FALSE(model.contains(*page)) << "double allocation";
-      model[*page] = s;
-    } else {
-      auto it = model.begin();
-      std::advance(it, rng.Uniform(model.size()));
-      ASSERT_TRUE(space.FreePage(it->first).ok());
-      model.erase(it);
+    StoreId s = 1 + static_cast<StoreId>(rng.Uniform(kStores));
+    auto page = space.AllocatePage(s, nullptr);
+    ASSERT_TRUE(page.ok());
+    ASSERT_FALSE(model.contains(*page)) << "double allocation";
+    model[*page] = s;
+    last[s] = *page;
+    if (rng.Bernoulli(0.1)) {
+      // Spot check: the append target is the page just handed out.
+      StoreId probe = 1 + static_cast<StoreId>(rng.Uniform(kStores));
+      if (last.contains(probe)) {
+        ASSERT_EQ(*space.LastPageOf(probe), last[probe]) << "store " << probe;
+      }
     }
   }
-  // Audit: ownership and per-store page counts match the model.
+  // Audit: ownership, per-store page counts and append targets match the
+  // model.
   std::map<StoreId, uint64_t> counts;
   for (const auto& [page, owner] : model) {
     auto got = space.OwnerOf(page);
@@ -396,6 +399,7 @@ TEST_P(SpaceProperty, AllocFreeConservesState) {
   }
   for (StoreId s = 1; s <= kStores; ++s) {
     EXPECT_EQ(*space.PageCountOf(s), counts[s]) << "store " << s;
+    EXPECT_EQ(*space.LastPageOf(s), last[s]) << "store " << s;
   }
 }
 

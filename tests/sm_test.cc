@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +51,28 @@ TEST(StorageManagerTest, CreateOpenTable) {
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened->heap_store, table->heap_store);
   EXPECT_TRUE(s->OpenTable("ghosts").status().IsNotFound());
+}
+
+/// Catalog records come from the log device, the archive or a replication
+/// socket: a name length that overruns its record is Corruption, never a
+/// read past the bytes.
+TEST(StorageManagerTest, CatalogNameLengthIsCheckedAgainstTheRecord) {
+  Durable d;
+  auto sm = d.Open();
+  ASSERT_TRUE(sm.ok());
+  auto catalog = [](uint32_t len, size_t bytes) {
+    log::LogRecord rec;
+    rec.type = log::LogRecordType::kCatalog;
+    rec.after.assign(bytes, 0);
+    std::memcpy(rec.after.data(), &len, sizeof(len));
+    return rec;
+  };
+  // A name length that wraps 4 + len + 16 to 4 in 32-bit arithmetic.
+  EXPECT_EQ((*sm)->ApplyMetadata(catalog(0xFFFFFFF0u, 20)).code(),
+            StatusCode::kCorruption);
+  // One byte short of a 5-byte name's entry.
+  EXPECT_EQ((*sm)->ApplyMetadata(catalog(5, 24)).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(StorageManagerTest, InsertReadRoundtrip) {
@@ -155,6 +178,52 @@ TEST(StorageManagerTest, AbortRestoresDeletedRow) {
 
   ASSERT_TRUE(s->Begin().ok());
   EXPECT_EQ(AsString(*s->Read(*table, 5)), "precious");
+  ASSERT_TRUE(s->Commit().ok());
+}
+
+/// A leaf split publishes its separator in the parent. The split is a
+/// structure change that outlives the transaction that caused it: rolling
+/// the transaction back must not treat the separator as one of its own
+/// keys, or undo removes the committed row whose key the separator copies.
+TEST(StorageManagerTest, AbortAfterLeafSplitKeepsCommittedRows) {
+  Durable d;
+  {
+    auto sm = d.Open();
+    ASSERT_TRUE(sm.ok());
+    auto s = (*sm)->OpenSession();
+    ASSERT_TRUE(s->Begin().ok());
+    auto table = s->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    for (uint64_t k = 0; k < 2000; ++k) {
+      ASSERT_TRUE(s->Insert(*table, k, Row("c")).ok());
+    }
+    ASSERT_TRUE(s->Commit().ok());
+    // Appends past the last key: each full leaf splits under this
+    // transaction, then it rolls back — once by Abort, once by restart
+    // undo as a loser.
+    for (bool crash : {false, true}) {
+      ASSERT_TRUE(s->Begin().ok());
+      for (uint64_t k = 2000; k < 4000; ++k) {
+        ASSERT_TRUE(s->Insert(*table, k, Row("u")).ok());
+      }
+      if (crash) break;
+      ASSERT_TRUE(s->Abort().ok());
+    }
+    (*sm)->SimulateCrash();
+  }
+  auto sm = d.Open();
+  ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+  auto s = (*sm)->OpenSession();
+  auto table = s->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(s->Begin().ok());
+  uint64_t rows = 0;
+  auto cur = s->OpenCursor(*table);
+  for (auto st = cur.Seek(0); cur.Valid(); st = cur.Next()) {
+    ASSERT_EQ(cur.key(), rows) << "committed row missing";
+    ++rows;
+  }
+  EXPECT_EQ(rows, 2000u);
   ASSERT_TRUE(s->Commit().ok());
 }
 

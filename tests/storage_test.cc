@@ -249,15 +249,13 @@ class SpaceManagerTest : public ::testing::Test {
   space::SpaceManager sm_;
 };
 
-TEST_F(SpaceManagerTest, CreateAndDropStore) {
+TEST_F(SpaceManagerTest, CreateStore) {
+  EXPECT_FALSE(sm_.StoreExists(1));
   EXPECT_TRUE(sm_.CreateStore(1).ok());
   EXPECT_TRUE(sm_.StoreExists(1));
   EXPECT_EQ(sm_.CreateStore(1).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(sm_.CreateStore(kInvalidStoreId).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_TRUE(sm_.DropStore(1).ok());
-  EXPECT_FALSE(sm_.StoreExists(1));
-  EXPECT_EQ(sm_.DropStore(1).code(), StatusCode::kNotFound);
 }
 
 TEST_F(SpaceManagerTest, AllocationFillsExtentsSequentially) {
@@ -305,33 +303,6 @@ TEST_F(SpaceManagerTest, ExtentCacheHitsOnRepeatedChecks) {
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(sm_.OwnerOf(*p).ok());
   // First check misses, the rest hit (same thread, hot extent).
   EXPECT_GE(sm_.stats().ownership_cache_hits.load(), 99u);
-}
-
-TEST_F(SpaceManagerTest, CacheInvalidatedByDrop) {
-  ASSERT_TRUE(sm_.CreateStore(1).ok());
-  auto p = sm_.AllocatePage(1, nullptr);
-  ASSERT_TRUE(p.ok());
-  ASSERT_TRUE(sm_.OwnerOf(*p).ok());  // Warm the cache.
-  ASSERT_TRUE(sm_.DropStore(1).ok());
-  EXPECT_TRUE(sm_.OwnerOf(*p).status().IsNotFound());
-}
-
-TEST_F(SpaceManagerTest, FreePageAndExtentRecycling) {
-  ASSERT_TRUE(sm_.CreateStore(1).ok());
-  std::vector<PageNum> pages;
-  for (int i = 0; i < 8; ++i) {
-    auto p = sm_.AllocatePage(1, nullptr);
-    ASSERT_TRUE(p.ok());
-    pages.push_back(*p);
-  }
-  for (PageNum p : pages) ASSERT_TRUE(sm_.FreePage(p).ok());
-  EXPECT_EQ(*sm_.PageCountOf(1), 0u);
-  EXPECT_TRUE(sm_.FreePage(pages[0]).IsNotFound());
-  // The freed extent is reused by the next allocation.
-  ASSERT_TRUE(sm_.CreateStore(2).ok());
-  auto p = sm_.AllocatePage(2, nullptr);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(ExtentOf(*p), ExtentOf(pages[0]));
 }
 
 TEST_F(SpaceManagerTest, LastPageTracksAppends) {
@@ -406,37 +377,104 @@ TEST(SpaceManagerStagedTest, MutexKindsAllWork) {
     opts.mutex_kind = kind;
     space::SpaceManager sm(&vol, opts);
     ASSERT_TRUE(sm.CreateStore(1).ok());
+    ASSERT_TRUE(sm.CreateStore(2).ok());
+    // Two stores allocate side by side while every thread checks the
+    // owner of each page it was handed, through its extent cache.
     std::vector<std::thread> workers;
+    std::vector<std::vector<PageNum>> got(4);
     std::atomic<int> failures{0};
     for (int t = 0; t < 4; ++t) {
-      workers.emplace_back([&] {
+      workers.emplace_back([&, t] {
+        StoreId store = 1 + t % 2;
         for (int i = 0; i < 50; ++i) {
-          if (!sm.AllocatePage(1, nullptr).ok()) failures.fetch_add(1);
+          auto p = sm.AllocatePage(store, nullptr);
+          if (!p.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          got[t].push_back(*p);
+          auto owner = sm.OwnerOf(*p);
+          if (!owner.ok() || *owner != store) failures.fetch_add(1);
         }
       });
     }
     for (auto& w : workers) w.join();
     EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(*sm.PageCountOf(1), 200u);
-    // All pages distinct.
-    auto pages = sm.PagesOf(1);
-    ASSERT_TRUE(pages.ok());
-    std::set<PageNum> unique(pages->begin(), pages->end());
+    EXPECT_EQ(*sm.PageCountOf(1), 100u);
+    EXPECT_EQ(*sm.PageCountOf(2), 100u);
+    // All pages distinct, and each still owned by the store that got it.
+    std::set<PageNum> unique;
+    for (int t = 0; t < 4; ++t) {
+      for (PageNum p : got[t]) {
+        unique.insert(p);
+        EXPECT_EQ(*sm.OwnerOf(p), StoreId(1 + t % 2));
+      }
+    }
     EXPECT_EQ(unique.size(), 200u);
   }
 }
 
 TEST_F(SpaceManagerTest, RedoHooksRebuildState) {
+  // Extent 3 holds pages 24..31: pages 24 and 25 allocated to store 9.
   ASSERT_TRUE(sm_.ApplyCreateStore(9).ok());
-  ASSERT_TRUE(sm_.ApplyAllocPage(9, 24).ok());
-  ASSERT_TRUE(sm_.ApplyAllocPage(9, 25).ok());
-  ASSERT_TRUE(sm_.ApplyAllocPage(9, 24).ok());  // Idempotent.
-  EXPECT_EQ(*sm_.PageCountOf(9), 2u);
-  EXPECT_EQ(*sm_.OwnerOf(24), 9u);
-  EXPECT_EQ(*sm_.LastPageOf(9), 25u);
-  // Conflicting redo is rejected.
+  for (int round = 0; round < 2; ++round) {  // Applying twice is a no-op.
+    ASSERT_TRUE(sm_.ApplyExtent(3, {9, 0b01}).ok());
+    ASSERT_TRUE(sm_.ApplyExtent(3, {9, 0b11}).ok());
+    EXPECT_EQ(*sm_.PageCountOf(9), 2u);
+    EXPECT_EQ(*sm_.OwnerOf(24), 9u);
+    EXPECT_EQ(*sm_.OwnerOf(25), 9u);
+    EXPECT_EQ(*sm_.LastPageOf(9), 25u);
+  }
+  EXPECT_GE(vol_.NumPages(), 32u);
+  // A store whose creation record was recycled is created by the apply.
+  ASSERT_TRUE(sm_.ApplyExtent(1, {4, 0b100}).ok());
+  EXPECT_TRUE(sm_.StoreExists(4));
+  EXPECT_EQ(*sm_.LastPageOf(4), 10u);
+  // A conflicting owner and malformed entries are rejected.
   ASSERT_TRUE(sm_.ApplyCreateStore(10).ok());
-  EXPECT_EQ(sm_.ApplyAllocPage(10, 25).code(), StatusCode::kCorruption);
+  EXPECT_EQ(sm_.ApplyExtent(3, {10, 0b100}).code(), StatusCode::kCorruption);
+  EXPECT_EQ(sm_.ApplyExtent(0, {10, 0b1}).code(), StatusCode::kCorruption);
+  EXPECT_EQ(sm_.ApplyExtent(5, {kInvalidStoreId, 0b1}).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(sm_.ApplyExtent(5, {10, 0}).code(), StatusCode::kCorruption);
+  EXPECT_EQ(*sm_.PageCountOf(9), 2u);
+  // New extents continue past the applied ones.
+  auto p = sm_.AllocatePage(10, nullptr);
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(ExtentOf(*p), 4u);
+}
+
+TEST_F(SpaceManagerTest, SnapshotReplaysIntoAnEqualMap) {
+  ASSERT_TRUE(sm_.CreateStore(1).ok());
+  ASSERT_TRUE(sm_.CreateStore(2).ok());
+  ASSERT_TRUE(sm_.CreateStore(3).ok());  // Never gets a page.
+  for (int i = 0; i < 11; ++i) ASSERT_TRUE(sm_.AllocatePage(1, nullptr).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(sm_.AllocatePage(2, nullptr).ok());
+  std::vector<StoreId> stores;
+  std::vector<ExtentEntry> extents;
+  sm_.Snapshot(&stores, &extents);
+  EXPECT_EQ(std::set<StoreId>(stores.begin(), stores.end()),
+            (std::set<StoreId>{1, 2, 3}));
+  ASSERT_EQ(extents.size(), 4u);  // Reserved extent 0, then 1, 2 and 3.
+  EXPECT_EQ(extents[1], (ExtentEntry{1, 0xff}));
+  EXPECT_EQ(extents[2], (ExtentEntry{1, 0b111}));
+  EXPECT_EQ(extents[3], (ExtentEntry{2, 0b111}));
+
+  io::MemVolume vol;
+  space::SpaceManager copy(&vol, space::SpaceOptions{});
+  for (StoreId s : stores) ASSERT_TRUE(copy.ApplyCreateStore(s).ok());
+  for (ExtentId x = 1; x < extents.size(); ++x) {
+    ASSERT_TRUE(copy.ApplyExtent(x, extents[x]).ok());
+  }
+  EXPECT_TRUE(copy.StoreExists(3));
+  EXPECT_EQ(*copy.PageCountOf(1), 11u);
+  EXPECT_EQ(*copy.PageCountOf(2), 3u);
+  EXPECT_EQ(*copy.PageCountOf(3), 0u);
+  EXPECT_EQ(*copy.LastPageOf(1), *sm_.LastPageOf(1));
+  EXPECT_EQ(*copy.LastPageOf(2), *sm_.LastPageOf(2));
+  // Both hand out the same next page.
+  EXPECT_EQ(*copy.AllocatePage(1, nullptr), *sm_.AllocatePage(1, nullptr));
+  EXPECT_EQ(*copy.AllocatePage(3, nullptr), *sm_.AllocatePage(3, nullptr));
 }
 
 }  // namespace

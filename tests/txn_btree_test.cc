@@ -484,7 +484,11 @@ TEST(TxnManagerTest, CheckpointRecordsActiveTxns) {
   ComponentHarness h;
   auto* t1 = h.txns_.Begin();
   Lsn redo_out;
-  auto ck = h.txns_.TakeCheckpoint([] { return Lsn{123}; }, {}, &redo_out);
+  // The augment hook runs on every checkpoint and its additions ride the
+  // body.
+  auto augment = [](log::CheckpointBody* b) { b->stores = {7}; };
+  auto ck =
+      h.txns_.TakeCheckpoint([] { return Lsn{123}; }, augment, &redo_out);
   ASSERT_TRUE(ck.ok());
   EXPECT_EQ(h.txns_.last_checkpoint(), *ck);
   auto rec = h.log_.ReadRecord(*ck);
@@ -499,11 +503,12 @@ TEST(TxnManagerTest, CheckpointRecordsActiveTxns) {
   ASSERT_EQ(body.active_txns.size(), 1u);
   EXPECT_EQ(body.active_txns[0].id, t1->id);
   EXPECT_EQ(body.active_txns[0].first_lsn, t1->begin_lsn);
+  EXPECT_EQ(body.stores, std::vector<StoreId>{7});
   ASSERT_TRUE(h.txns_.Commit(t1).ok());
 
   // With no active transactions the source value stands.
-  auto ck2 = h.txns_.TakeCheckpoint([&] { return h.log_.next_lsn(); }, {},
-                                    &redo_out);
+  auto ck2 = h.txns_.TakeCheckpoint([&] { return h.log_.next_lsn(); },
+                                    augment, &redo_out);
   ASSERT_TRUE(ck2.ok());
   auto rec2 = h.log_.ReadRecord(*ck2);
   ASSERT_TRUE(rec2.ok());
