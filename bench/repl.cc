@@ -1,20 +1,30 @@
 /// Log-shipping replication panel: a forked primary/replica pair over a
 /// UNIX socketpair — a real two-process topology, not threads sharing an
 /// address space. The parent runs the engine plus a SegmentShipper and
-/// concurrent writer sessions; the child runs a Replica with partitioned
-/// parallel redo. Both sides emit one JSON line per ~100ms sampling tick
-/// ("side" distinguishes them): the primary reports durable/shipped/acked
-/// offsets and the lag gauge, the replica its received bytes and
-/// replayed-LSN horizon — the converging curves ARE the result.
+/// concurrent writer sessions; the child runs a Replica, which applies
+/// each received frame on its receive thread. Both sides emit one JSON
+/// line per ~100ms sampling tick ("side" distinguishes them): the primary
+/// reports durable/shipped/acked offsets and the lag gauge, the replica
+/// its received bytes and replayed-LSN horizon — the converging curves
+/// ARE the result.
+///
+/// Each side ends with a summary line. The primary's: `write_ms` (writers
+/// started to writers joined), `write_mbps` (log bytes the writers made
+/// durable per second of it) and `peak_lag_bytes` (the largest sampled
+/// lag gauge). The replica's: `caught_up_ms` (stream end to the replayed
+/// horizon reaching everything received). Both: `cpu_ms` (user + system
+/// CPU of that process) and its voluntary/involuntary context switches.
 ///
 /// Modes:
 ///   bench_repl            longer write phase (SHOREMT_FULL=1 widens it)
 ///   bench_repl --smoke    CI check: ships everything, replica catches up,
 ///                         full committed prefix readable post-EOF.
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -63,6 +73,19 @@ uint64_t NowMs(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
+/// `"cpu_ms":..,"vcsw":..,"ivcsw":..` for this process (a forked child
+/// starts from zero).
+void PrintCpuFields() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  auto ms = [](const timeval& tv) {
+    return static_cast<unsigned long long>(tv.tv_sec) * 1000 +
+           static_cast<unsigned long long>(tv.tv_usec) / 1000;
+  };
+  std::printf("\"cpu_ms\":%llu,\"vcsw\":%ld,\"ivcsw\":%ld",
+              ms(ru.ru_utime) + ms(ru.ru_stime), ru.ru_nvcsw, ru.ru_nivcsw);
+}
+
 // ------------------------------------------------------------- primary ----
 
 int RunPrimary(int fd, uint64_t rows, int writer_threads) {
@@ -91,6 +114,8 @@ int RunPrimary(int fd, uint64_t rows, int writer_threads) {
 
   // Writers insert disjoint key ranges in small committed batches — a
   // steady committed-log stream for the shipper to chase.
+  const uint64_t write_base = wal.size();
+  const auto write_t0 = std::chrono::steady_clock::now();
   std::atomic<bool> done{false};
   std::vector<std::thread> writers;
   std::atomic<int> writer_rc{0};
@@ -124,7 +149,9 @@ int RunPrimary(int fd, uint64_t rows, int writer_threads) {
   }
 
   // The sampling loop: primary-side view of the pipe while writers run.
+  uint64_t peak_lag = 0;  // monitor thread, then this one after the join
   auto sample = [&] {
+    peak_lag = std::max(peak_lag, shipper.lag_bytes());
     std::printf("{\"side\":\"primary\",\"t_ms\":%llu,\"durable\":%llu,"
                 "\"shipped\":%llu,\"segments\":%llu,\"acked_replayed\":%llu,"
                 "\"lag_bytes\":%llu}\n",
@@ -143,7 +170,9 @@ int RunPrimary(int fd, uint64_t rows, int writer_threads) {
     }
   });
   for (auto& w : writers) w.join();
+  uint64_t write_ms = std::max<uint64_t>(1, NowMs(write_t0));
   if (!db->log()->FlushAll().ok()) writer_rc.store(1);
+  uint64_t written = wal.size() - write_base;
   done.store(true, std::memory_order_release);
   monitor.join();
 
@@ -156,16 +185,20 @@ int RunPrimary(int fd, uint64_t rows, int writer_threads) {
   }
   sample();
   bool shipped_all = shipper.shipped_offset() >= durable;
-  uint64_t catchup_ms = NowMs(t0);
-  shipper.Stop();  // EOF: the replica drains and verifies
+  shipper.Stop();  // EOF: the replica catches up and verifies
 
   std::printf("{\"side\":\"primary\",\"summary\":true,\"rows\":%llu,"
               "\"durable\":%llu,\"bytes_streamed\":%llu,\"shipped_all\":%s,"
-              "\"catchup_ms\":%llu}\n",
+              "\"write_ms\":%llu,\"write_mbps\":%.2f,"
+              "\"peak_lag_bytes\":%llu,",
               (unsigned long long)rows, (unsigned long long)durable,
               (unsigned long long)shipper.bytes_streamed(),
-              shipped_all ? "true" : "false",
-              (unsigned long long)catchup_ms);
+              shipped_all ? "true" : "false", (unsigned long long)write_ms,
+              static_cast<double>(written) / 1e3 /
+                  static_cast<double>(write_ms),
+              (unsigned long long)peak_lag);
+  PrintCpuFields();
+  std::printf("}\n");
   std::fflush(stdout);
 
   if (writer_rc.load() != 0) {
@@ -194,7 +227,6 @@ int RunReplica(int fd, uint64_t rows) {
   log::LogStorage wal(0, kSegmentBytes);
   repl::Replica::Options ro;
   ro.storage = EngineOptions();
-  ro.replay_workers = 4;
   repl::Replica replica(&volume, &wal, ro);
   Status st = replica.Start(fd);
   if (!st.ok()) {
@@ -213,11 +245,16 @@ int RunReplica(int fd, uint64_t rows) {
     replica.WaitStreamEnd(100);
   }
 
-  // Primary hung up after shipping everything: drain the replay pool to
-  // the received horizon, then the full committed prefix must be
-  // readable at it.
+  // Primary hung up after shipping everything: the horizon must reach
+  // everything received, then the full committed prefix must be readable
+  // at it.
+  const auto eof_t0 = std::chrono::steady_clock::now();
   uint64_t horizon = replica.received_bytes() + 1;
-  if (!replica.WaitReplayed(horizon, 20000)) {
+  bool caught_up = replica.WaitReplayed(horizon, 20000);
+  double caught_up_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - eof_t0)
+                            .count();
+  if (!caught_up) {
     std::fprintf(stderr, "replica: replay never reached %llu (at %llu): %s\n",
                  (unsigned long long)horizon,
                  (unsigned long long)replica.replayed_lsn(),
@@ -248,9 +285,12 @@ int RunReplica(int fd, uint64_t rows) {
   session.reset();
 
   std::printf("{\"side\":\"replica\",\"summary\":true,\"received\":%llu,"
-              "\"replayed_lsn\":%llu,\"verified\":true}\n",
+              "\"replayed_lsn\":%llu,\"verified\":true,"
+              "\"caught_up_ms\":%.3f,",
               (unsigned long long)replica.received_bytes(),
-              (unsigned long long)replica.replayed_lsn());
+              (unsigned long long)replica.replayed_lsn(), caught_up_ms);
+  PrintCpuFields();
+  std::printf("}\n");
   std::fflush(stdout);
   return 0;
 }

@@ -102,7 +102,6 @@ int RunReplica(int fd) {
   log::LogStorage wal(0, 32 * 1024);
   repl::Replica::Options ro;
   ro.storage = EngineOptions();
-  ro.replay_workers = 4;
   repl::Replica replica(&volume, &wal, ro);
   if (!replica.Start(fd).ok()) return 1;
 

@@ -188,7 +188,7 @@ Result<PageHandle> BTree::NewNode(txn::Transaction* txn, uint16_t level,
   alloc.store = store_;
   SHOREMT_RETURN_NOT_OK(LogAndMark(txn, &out, std::move(alloc)));
   *page_out = page;
-  return std::move(out);
+  return out;
 }
 
 Status BTree::SplitRoot(txn::Transaction* txn, PageHandle* root_handle,
@@ -300,7 +300,7 @@ Result<PageHandle> BTree::InsertUnlogged(uint64_t key, uint64_t value,
         return Status::AlreadyExists("duplicate key");
       }
       *leaf_page = page::HeaderOf(h.data())->page_num;
-      return std::move(h);
+      return h;
     }
     PageNum child_page = node.ChildFor(key);
     SHOREMT_ASSIGN_OR_RETURN(
@@ -327,7 +327,7 @@ Result<PageHandle> BTree::RemoveUnlogged(uint64_t key, uint64_t* removed,
       *removed = node.entry(i).value;
       node.RemoveKey(key);
       *leaf_page = page::HeaderOf(h.data())->page_num;
-      return std::move(h);
+      return h;
     }
     SHOREMT_ASSIGN_OR_RETURN(
         PageHandle child_h,

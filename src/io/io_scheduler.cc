@@ -142,10 +142,10 @@ Status IoScheduler::TrySubmitDetached(IoOpKind kind, PageNum page, void* buf,
 }
 
 uint32_t IoScheduler::AcquireSlot() {
-  std::unique_lock<std::mutex> lock(pool_mutex_);
+  std::unique_lock<std::mutex> lock(slot_mutex_);
   if (free_slots_.empty()) {
     stats_.backpressure_waits.fetch_add(1, std::memory_order_relaxed);
-    pool_cv_.wait(lock, [&] { return !free_slots_.empty(); });
+    slot_cv_.wait(lock, [&] { return !free_slots_.empty(); });
   }
   uint32_t id = free_slots_.back();
   free_slots_.pop_back();
@@ -153,7 +153,7 @@ uint32_t IoScheduler::AcquireSlot() {
 }
 
 int IoScheduler::TryAcquireSlot() {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
+  std::lock_guard<std::mutex> lock(slot_mutex_);
   if (free_slots_.empty()) return -1;
   uint32_t id = free_slots_.back();
   free_slots_.pop_back();
@@ -163,10 +163,10 @@ int IoScheduler::TryAcquireSlot() {
 void IoScheduler::ReleaseSlot(uint32_t id) {
   slots_[id].cb = nullptr;  // Drop closure state eagerly.
   {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
+    std::lock_guard<std::mutex> lock(slot_mutex_);
     free_slots_.push_back(id);
   }
-  pool_cv_.notify_one();
+  slot_cv_.notify_one();
 }
 
 void IoScheduler::EnqueueRun(Run run) {

@@ -190,9 +190,9 @@ class IoScheduler {
   IoSchedulerStats stats_;
 
   std::vector<Slot> slots_;
-  std::mutex pool_mutex_;
-  std::condition_variable pool_cv_;
-  std::vector<uint32_t> free_slots_;  ///< Guarded by pool_mutex_.
+  std::mutex slot_mutex_;
+  std::condition_variable slot_cv_;
+  std::vector<uint32_t> free_slots_;  ///< Guarded by slot_mutex_.
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

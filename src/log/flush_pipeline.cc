@@ -9,13 +9,12 @@
 namespace shoremt::log {
 
 FlushPipeline::FlushPipeline(LogBuffer* buffer, LogStats* stats,
-                             uint64_t idle_flush_interval_us,
-                             size_t callback_threads, size_t callback_queue)
+                             uint64_t idle_flush_interval_us)
     : buffer_(buffer),
       stats_(stats),
       idle_flush_interval_us_(idle_flush_interval_us),
-      callback_executor_(std::make_unique<sync::BoundedExecutor>(
-          callback_threads, callback_queue)),
+      callback_executor_(
+          std::make_unique<sync::BoundedExecutor>(kCallbackQueue)),
       daemon_([this] { DaemonLoop(); }) {}
 
 FlushPipeline::~FlushPipeline() {
@@ -127,10 +126,10 @@ void FlushPipeline::DispatchDue(std::unique_lock<std::mutex>& lk,
   auto due = CollectDueCallbacksLocked(final_pass, fallback);
   if (due.empty()) return;
   lk.unlock();
-  // The whole batch is one executor task: with the default single worker
-  // the FIFO queue preserves ascending-LSN dispatch order within AND
-  // across batches, while the daemon goes straight back to flushing — a
-  // slow closure can no longer stall group-commit acknowledgement.
+  // The whole batch is one executor task: the single worker's FIFO queue
+  // preserves ascending-LSN dispatch order within AND across batches,
+  // while the daemon goes straight back to flushing — a slow closure can
+  // no longer stall group-commit acknowledgement.
   callback_executor_->Submit([batch = std::move(due)]() mutable {
     for (auto& [fn, st] : batch) fn(st);
   });

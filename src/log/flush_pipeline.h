@@ -40,14 +40,12 @@ class FlushPipeline {
   /// `idle_flush_interval_us` > 0 additionally wakes the daemon on that
   /// period to flush *everything* appended so far (the old flush_daemon
   /// behavior); 0 means purely submission-driven. Due OnDurable closures
-  /// are dispatched through a BoundedExecutor of `callback_threads`
-  /// workers with a `callback_queue`-deep queue, so a slow closure delays
-  /// other closures, never the flush daemon's next group-commit batch.
-  /// With the default single worker, closures keep firing in ascending-LSN
-  /// order; more workers trade that order away for callback parallelism.
+  /// are dispatched through a one-thread BoundedExecutor with a
+  /// kCallbackQueue-deep queue, so a slow closure delays other closures,
+  /// never the flush daemon's next group-commit batch, and closures fire
+  /// in ascending-LSN order.
   FlushPipeline(LogBuffer* buffer, LogStats* stats,
-                uint64_t idle_flush_interval_us, size_t callback_threads = 1,
-                size_t callback_queue = 64);
+                uint64_t idle_flush_interval_us);
   ~FlushPipeline();  ///< Final drain of submitted targets, then join.
 
   FlushPipeline(const FlushPipeline&) = delete;
@@ -101,6 +99,10 @@ class FlushPipeline {
 
  private:
   using Callback = std::function<void(Status)>;
+
+  /// Callback batches (not closures) the executor queues before the
+  /// daemon feels backpressure.
+  static constexpr size_t kCallbackQueue = 64;
 
   void DaemonLoop();
   bool HasWorkLocked() const;

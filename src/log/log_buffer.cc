@@ -53,8 +53,7 @@ class MutexLogBuffer : public LogBuffer {
     base_ = storage->size();
   }
 
-  Result<Appended> Append(std::span<const uint8_t> rec,
-                          bool compensation) override {
+  Result<Appended> Append(std::span<const uint8_t> rec) override {
     std::lock_guard<std::mutex> guard(mutex_);
     if (rec.size() > buffer_.size()) {
       return Status::InvalidArgument("record larger than log buffer");
@@ -115,8 +114,7 @@ class DecoupledLogBuffer : public LogBuffer {
     head_.store(storage->size(), std::memory_order_relaxed);
   }
 
-  Result<Appended> Append(std::span<const uint8_t> rec,
-                          bool compensation) override {
+  Result<Appended> Append(std::span<const uint8_t> rec) override {
     if (rec.size() > ring_.size() / 2) {
       return Status::InvalidArgument("record larger than log buffer");
     }
@@ -227,8 +225,7 @@ class CArrayLogBuffer : public LogBuffer {
     watermark_.store(base_, std::memory_order_relaxed);
   }
 
-  Result<Appended> Append(std::span<const uint8_t> rec,
-                          bool compensation) override {
+  Result<Appended> Append(std::span<const uint8_t> rec) override {
     if (rec.size() > capacity_ / 2) {
       return Status::InvalidArgument("record larger than log buffer");
     }

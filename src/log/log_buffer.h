@@ -53,11 +53,9 @@ class LogBuffer {
  public:
   virtual ~LogBuffer() = default;
 
-  /// Appends a serialized record; `compensation` marks CLR traffic (kept
-  /// as a separate logical operation per §6.2.2, although this
-  /// implementation routes both through the insert path).
-  virtual Result<Appended> Append(std::span<const uint8_t> rec,
-                                  bool compensation) = 0;
+  /// Appends a serialized record (CLRs included: compensation shares the
+  /// insert path).
+  virtual Result<Appended> Append(std::span<const uint8_t> rec) = 0;
 
   /// Blocks until every byte below `upto` is durable.
   virtual Status FlushTo(Lsn upto) = 0;

@@ -24,8 +24,7 @@ LogManager::LogManager(LogStorage* storage, LogOptions options)
                           options_.carray_force_consolidation);
   pipeline_ = std::make_unique<FlushPipeline>(
       buffer_.get(), &stats_,
-      options_.flush_daemon ? options_.flush_interval_us : 0,
-      options_.durable_callback_threads, options_.durable_callback_queue);
+      options_.flush_daemon ? options_.flush_interval_us : 0);
 }
 
 LogManager::~LogManager() {
@@ -56,17 +55,11 @@ Result<Appended> LogManager::Append(const LogRecord& rec) {
   thread_local std::vector<uint8_t> scratch;
   SerializeLogRecord(rec, &scratch);
   stats_.records.fetch_add(1, std::memory_order_relaxed);
+  if (rec.type == LogRecordType::kClr) {
+    stats_.compensations.fetch_add(1, std::memory_order_relaxed);
+  }
   stats_.bytes.fetch_add(scratch.size(), std::memory_order_relaxed);
-  return buffer_->Append(scratch, /*compensation=*/false);
-}
-
-Result<Appended> LogManager::AppendClr(const LogRecord& rec) {
-  thread_local std::vector<uint8_t> scratch;
-  SerializeLogRecord(rec, &scratch);
-  stats_.records.fetch_add(1, std::memory_order_relaxed);
-  stats_.compensations.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes.fetch_add(scratch.size(), std::memory_order_relaxed);
-  return buffer_->Append(scratch, /*compensation=*/true);
+  return buffer_->Append(scratch);
 }
 
 Status LogManager::FlushTo(Lsn upto) {

@@ -50,13 +50,6 @@ struct LogOptions {
   /// point-in-time restore (repl::RestoreToLsn) and lets a log shipper
   /// serve ranges the primary already recycled. Empty (default) = off.
   std::string archive_dir;
-  /// Worker threads in the flush pipeline's OnDurable callback executor
-  /// (1 preserves ascending-LSN dispatch order; more trades order for
-  /// callback parallelism).
-  size_t durable_callback_threads = 1;
-  /// Bounded depth of that executor's queue (batches, not closures); a
-  /// backlog past this exerts backpressure on the flush daemon.
-  size_t durable_callback_queue = 64;
 };
 
 // LogStats lives in log/log_stats.h so the storage layer can mirror
@@ -77,10 +70,9 @@ class LogManager {
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
 
-  /// Appends `rec`; returns its start/end LSNs.
+  /// Appends `rec`; returns its start/end LSNs. A kClr also counts in
+  /// LogStats::compensations.
   Result<Appended> Append(const LogRecord& rec);
-  /// Appends a compensation (CLR) record.
-  Result<Appended> AppendClr(const LogRecord& rec);
 
   /// Makes everything below `upto` durable (commit / WAL barrier). This is
   /// the synchronous path: the caller's thread may perform the device

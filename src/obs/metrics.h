@@ -47,7 +47,7 @@ enum class Metric : uint32_t {
   kReplSegmentsShipped,  ///< Sealed-segment chunks the shipper sent.
   kReplSegmentsApplied,  ///< Segment/tail frames the replica accepted.
   kReplBytesStreamed,    ///< Log bytes that crossed the wire.
-  kReplReplayBatches,    ///< Replay-worker dequeue batches.
+  kReplReplayBatches,    ///< Replica passes that parsed new records.
   kReplLagBytes,         ///< GAUGE: shipped-but-not-replayed log bytes.
   // --- async I/O spine (src/io) ---------------------------------------------
   kIoReads,            ///< Volume read calls (a vectored call counts once).

@@ -13,44 +13,26 @@ namespace shoremt::repl {
 Replica::Replica(io::Volume* volume, log::LogStorage* storage, Options opts)
     : volume_(volume), storage_(storage), opts_(std::move(opts)) {}
 
-Replica::~Replica() {
-  Stop();
-  // Workers borrow sm_: tear the pool down first.
-  std::lock_guard<std::mutex> lk(pool_mutex_);
-  pool_.reset();
-}
-
-void Replica::SetError(Status st) {
-  std::lock_guard<std::mutex> lk(error_mutex_);
-  if (!has_error_.load(std::memory_order_relaxed)) {
-    error_ = std::move(st);
-    has_error_.store(true, std::memory_order_release);
-  }
-}
+Replica::~Replica() { Stop(); }
 
 Status Replica::error() const {
   if (!has_error_.load(std::memory_order_acquire)) return Status::Ok();
-  std::lock_guard<std::mutex> lk(error_mutex_);
+  std::lock_guard<std::mutex> lk(mutex_);
   return error_;
 }
 
-uint64_t Replica::replayed_lsn() const {
-  std::lock_guard<std::mutex> lk(pool_mutex_);
-  return pool_ != nullptr ? pool_->replayed_lsn() : 0;
-}
-
 bool Replica::WaitReplayed(uint64_t lsn, int timeout_ms) {
-  ReplayPool* pool;
-  {
-    std::lock_guard<std::mutex> lk(pool_mutex_);
-    pool = pool_.get();
-  }
-  return pool != nullptr && pool->WaitReplayed(lsn, timeout_ms);
+  std::unique_lock<std::mutex> lk(mutex_);
+  cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms), [&] {
+    return replayed_.load(std::memory_order_acquire) >= lsn ||
+           eof_.load(std::memory_order_acquire);
+  });
+  return replayed_.load(std::memory_order_acquire) >= lsn;
 }
 
 bool Replica::WaitStreamEnd(int timeout_ms) {
-  std::unique_lock<std::mutex> lk(eof_mutex_);
-  return eof_cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms), [&] {
+  std::unique_lock<std::mutex> lk(mutex_);
+  return cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms), [&] {
     return eof_.load(std::memory_order_acquire);
   });
 }
@@ -59,33 +41,31 @@ Status Replica::Start(int fd) {
   fd_ = fd;
   sm::StorageOptions o = opts_.storage;
   o.open_mode = sm::OpenMode::kReplicaAttach;
-  // The replica applies through the replay pool; it must never archive or
-  // recycle the log it is receiving.
+  // The replica applies the log it is receiving; it must never archive or
+  // recycle it.
   o.log.archive_dir.clear();
   SHOREMT_ASSIGN_OR_RETURN(sm_,
                            sm::StorageManager::Open(o, volume_, storage_));
-  {
-    std::lock_guard<std::mutex> lk(pool_mutex_);
-    pool_ = std::make_unique<ReplayPool>(sm_.get(), opts_.replay_workers);
-  }
   // A previously received prefix (reconnect over a fresh volume) is
   // replayed before asking for more — the kHello offset promises the
   // primary we already hold everything below it.
   parse_pos_ = 0;
   SHOREMT_RETURN_NOT_OK(ProcessNewBytes());
-  pool_->PublishBarrier(parse_pos_ + 1);
 
   uint64_t hello[1] = {storage_->size()};
   SHOREMT_RETURN_NOT_OK(
       WriteFrame(fd_, FrameType::kHello, hello, {}));
   thread_ = std::thread([this] {
     Status st = ReceiveLoop();
-    if (!st.ok()) SetError(st);
     {
-      std::lock_guard<std::mutex> lk(eof_mutex_);
+      std::lock_guard<std::mutex> lk(mutex_);
+      if (!st.ok()) {
+        error_ = std::move(st);
+        has_error_.store(true, std::memory_order_release);
+      }
       eof_.store(true, std::memory_order_release);
     }
-    eof_cv_.notify_all();
+    cv_.notify_all();
   });
   return Status::Ok();
 }
@@ -152,8 +132,7 @@ Status Replica::ReceiveLoop() {
     frames_applied_.fetch_add(1, std::memory_order_relaxed);
     bytes_streamed_.fetch_add(n, std::memory_order_relaxed);
     SHOREMT_RETURN_NOT_OK(ProcessNewBytes());
-    pool_->PublishBarrier(parse_pos_ + 1);
-    uint64_t ack[2] = {storage_->size(), pool_->replayed_lsn()};
+    uint64_t ack[2] = {storage_->size(), replayed_lsn()};
     // Best effort: a vanished primary is discovered by the next read.
     (void)WriteFrame(fd_, FrameType::kAck, ack, {});
   }
@@ -163,6 +142,7 @@ Status Replica::ReceiveLoop() {
 Status Replica::ProcessNewBytes() {
   std::vector<uint8_t> buf;
   SHOREMT_RETURN_NOT_OK(storage_->ReadFrom(parse_pos_, &buf));
+  const uint64_t start = parse_pos_;
   log::RecordReader reader(buf, parse_pos_);
   log::LogRecord rec;
   Lsn end;
@@ -177,17 +157,18 @@ Status Replica::ProcessNewBytes() {
       case LogRecordType::kAllocPage:
       case LogRecordType::kCatalog:
         // Metadata is idempotent and ordered only against itself; apply
-        // inline so structure records the pool applies next can resolve
-        // their stores/pages.
+        // it first so the structure records after it can resolve their
+        // stores/pages.
         SHOREMT_RETURN_NOT_OK(sm_->ApplyMetadata(rec));
         break;
       case LogRecordType::kCommit: {
-        // The commit gate opens: release this transaction's buffered heap
-        // records to the partition queues, in their original log order.
+        // The commit gate opens: apply this transaction's buffered heap
+        // records, in their original log order.
         auto it = pending_.find(rec.txn);
         if (it != pending_.end()) {
-          for (auto& pr : it->second) {
-            pool_->Dispatch(std::move(pr.first), pr.second);
+          for (const auto& [held, held_end] : it->second) {
+            SHOREMT_RETURN_NOT_OK(
+                sm_->ApplyRedo(held, held_end, /*force=*/true));
           }
           pending_.erase(it);
         }
@@ -211,7 +192,7 @@ Status Replica::ProcessNewBytes() {
             embedded == LogRecordType::kPageDelete) {
           pending_[rec.txn].emplace_back(std::move(rec), end);
         } else {
-          pool_->Dispatch(std::move(rec), end);
+          SHOREMT_RETURN_NOT_OK(sm_->ApplyRedo(rec, end, /*force=*/true));
         }
         break;
       }
@@ -222,26 +203,27 @@ Status Replica::ProcessNewBytes() {
         // Structure is redo-only on the primary and later transactions
         // may build on it before its creator commits: apply immediately,
         // in log order.
-        pool_->Dispatch(std::move(rec), end);
+        SHOREMT_RETURN_NOT_OK(sm_->ApplyRedo(rec, end, /*force=*/true));
         break;
       default:
         break;  // kNoop
     }
     parse_pos_ = reader.offset();
   }
+  if (parse_pos_ > start) {
+    replay_passes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    replayed_.store(parse_pos_ + 1, std::memory_order_release);
+  }
+  cv_.notify_all();
   return Status::Ok();
 }
 
 Status Replica::Promote() {
+  // Stop joins the receive thread, the only one that applies records.
   Stop();
-  {
-    std::lock_guard<std::mutex> lk(pool_mutex_);
-    if (pool_ != nullptr) {
-      Status st = pool_->Drain();
-      if (!st.ok()) SetError(st);
-      pool_.reset();
-    }
-  }
   if (has_error_.load(std::memory_order_acquire)) return error();
 
   // Flush every replayed page to the volume and release the attach-mode
@@ -267,16 +249,9 @@ void Replica::RegisterMetrics() {
             frames_applied();
         (*totals)[static_cast<size_t>(Metric::kReplBytesStreamed)] +=
             bytes_streamed();
-        uint64_t batches = 0;
-        uint64_t replayed = 0;
-        {
-          std::lock_guard<std::mutex> lk(pool_mutex_);
-          if (pool_ != nullptr) {
-            batches = pool_->batches();
-            replayed = pool_->replayed_lsn();
-          }
-        }
-        (*totals)[static_cast<size_t>(Metric::kReplReplayBatches)] += batches;
+        (*totals)[static_cast<size_t>(Metric::kReplReplayBatches)] +=
+            replay_passes_.load(std::memory_order_relaxed);
+        uint64_t replayed = replayed_lsn();
         uint64_t received = storage_->size();
         // Both sides of the subtraction are log positions: received bytes
         // vs the horizon's byte offset (LSN - 1).

@@ -14,47 +14,46 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "io/volume.h"
+#include "log/log_record.h"
 #include "log/log_storage.h"
 #include "obs/metrics_registry.h"
-#include "repl/replay_pool.h"
 #include "sm/storage_manager.h"
 
 namespace shoremt::repl {
 
 /// A log-shipping replica: receives the primary's durable log over a
 /// stream socket, appends it verbatim to its own LogStorage, and applies
-/// it through a partitioned parallel ReplayPool while continuously
-/// publishing a `replayed_lsn` visibility horizon. Reads are served
-/// through the attached StorageManager's normal Session path
+/// it on the receive thread, publishing a `replayed_lsn` visibility
+/// horizon after each received frame. Reads are served through the
+/// attached StorageManager's normal Session path
 /// (`replica.sm()->OpenSession()`); a read-only transaction at the
 /// horizon sees exactly the committed prefix up to it.
 ///
 /// Apply discipline (commit-gated deferred replay): heap DML and heap
-/// CLRs are buffered per transaction and released to the partition queues
-/// only at that transaction's kCommit — an aborted transaction's heap
-/// records are simply discarded, so the replica never applies (and never
-/// needs to undo) uncommitted row state. Structure records — page
-/// formats, B-tree inserts/deletes/splits, allocation, store/catalog
-/// metadata — are applied immediately in log order: structure is
-/// redo-only on the primary (never undone on abort), and a later
-/// committed transaction may legitimately build on an earlier
-/// uncommitted transaction's structure (e.g. insert into a page the
-/// other formatted).
+/// CLRs are buffered per transaction and applied only at that
+/// transaction's kCommit — an aborted transaction's heap records are
+/// simply discarded, so the replica never applies (and never needs to
+/// undo) uncommitted row state. Structure records — page formats, B-tree
+/// inserts/deletes/splits, allocation, store/catalog metadata — are
+/// applied immediately in log order: structure is redo-only on the
+/// primary (never undone on abort), and a later committed transaction may
+/// legitimately build on an earlier uncommitted transaction's structure
+/// (e.g. insert into a page the other formatted). Released records arrive
+/// in COMMIT order, not LSN order, so every apply is forced (ApplyRedo
+/// force=true) and page LSNs only ratchet upward.
 ///
-/// Promotion (the primary died): Promote() stops the stream, drains the
-/// replay pool, truncates the received log at the last complete record,
-/// and reopens the engine with OpenMode::kPromote — analysis finds
-/// transactions with no commit record, undoes their structure records
-/// (their heap records were never applied), and formally aborts them.
-/// The promoted manager then serves reads AND writes: it is the new
-/// primary, and its log is a valid restart log.
+/// Promotion (the primary died): Promote() stops the stream, joining the
+/// only thread that applies, truncates the received log at the last
+/// complete record, and reopens the engine with OpenMode::kPromote —
+/// analysis finds transactions with no commit record, undoes their
+/// structure records (their heap records were never applied), and
+/// formally aborts them. The promoted manager then serves reads AND
+/// writes: it is the new primary, and its log is a valid restart log.
 class Replica {
  public:
   struct Options {
     /// Base configuration for the attached (and later promoted) manager.
     sm::StorageOptions storage;
-    /// Replay partitions / worker threads.
-    size_t replay_workers = 4;
   };
 
   /// `volume` and `storage` are the replica's durable state, owned by the
@@ -85,8 +84,11 @@ class Replica {
   // --- observability --------------------------------------------------------
 
   /// Every committed record with end LSN <= this has been applied.
-  uint64_t replayed_lsn() const;
-  /// Waits for the horizon to reach `lsn`; false on timeout or error.
+  uint64_t replayed_lsn() const {
+    return replayed_.load(std::memory_order_acquire);
+  }
+  /// Waits for the horizon to reach `lsn`; false on timeout, on a
+  /// receive/replay error, or once the stream ended below `lsn`.
   bool WaitReplayed(uint64_t lsn, int timeout_ms);
   /// Bytes durably received from the primary.
   uint64_t received_bytes() const { return storage_->size(); }
@@ -107,33 +109,26 @@ class Replica {
   }
 
   /// Registers replica counters (segments applied, bytes streamed, replay
-  /// batches, replayed-LSN lag gauge) on the ATTACHED manager's registry.
+  /// passes, replayed-LSN lag gauge) on the ATTACHED manager's registry.
   /// Any ProfilingThread over it must stop before Promote() (promotion
   /// replaces the manager and its registry).
   void RegisterMetrics();
 
  private:
   Status ReceiveLoop();
-  /// Parses complete records in [parse_pos_, storage size) and feeds the
-  /// commit-gating dispatcher.
+  /// Parses complete records in [parse_pos_, storage size), applies them
+  /// through the commit gate, and publishes replayed_lsn = parse_pos_ + 1.
   Status ProcessNewBytes();
-  void SetError(Status st);
 
   io::Volume* volume_;
   log::LogStorage* storage_;
   Options opts_;
 
   std::unique_ptr<sm::StorageManager> sm_;
-  /// Guards pool_ swaps (Promote) against the metrics-source reader.
-  mutable std::mutex pool_mutex_;
-  std::unique_ptr<ReplayPool> pool_;
 
   int fd_ = -1;
   std::thread thread_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> eof_{false};
-  std::mutex eof_mutex_;
-  std::condition_variable eof_cv_;
   bool promoted_ = false;
 
   /// Receive-thread state: next unparsed offset and the commit gate —
@@ -144,8 +139,15 @@ class Replica {
 
   std::atomic<uint64_t> frames_applied_{0};
   std::atomic<uint64_t> bytes_streamed_{0};
+  /// ProcessNewBytes passes that parsed at least one record.
+  std::atomic<uint64_t> replay_passes_{0};
 
-  mutable std::mutex error_mutex_;
+  /// Guards error_; with cv_ it wakes WaitReplayed and WaitStreamEnd when
+  /// the horizon advances, the stream ends, or the receive thread fails.
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::atomic<uint64_t> replayed_{0};
+  std::atomic<bool> eof_{false};
   Status error_ = Status::Ok();
   std::atomic<bool> has_error_{false};
 };

@@ -51,10 +51,10 @@ enum class OpenMode {
   /// non-empty.
   kRecover,
   /// Replication replica: no recovery and no checkpoint daemon — the
-  /// repl::Replica's replay pool applies the shipped log itself and owns
+  /// repl::Replica applies the shipped log itself and owns
   /// the visibility horizon; the manager only provides the read path.
   kReplicaAttach,
-  /// Replica promotion: the replay pool already applied every committed
+  /// Replica promotion: the replica already applied every committed
   /// record, so redo is skipped; analysis still runs to find in-flight
   /// (loser) transactions, which are rolled back structure-only (their
   /// deferred heap records were never applied) and formally aborted.

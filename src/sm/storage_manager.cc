@@ -304,8 +304,8 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
       SHOREMT_RETURN_NOT_OK(sm->PromoteRecover());
       break;
     case OpenMode::kReplicaAttach:
-      // No recovery: the repl::Replica's replay pool applies the shipped
-      // log itself, continuously.
+      // No recovery: the repl::Replica applies the shipped log itself,
+      // continuously.
       break;
   }
   // Background checkpoints only start once recovery is done: a fuzzy
@@ -668,7 +668,9 @@ Status StorageManager::UndoRecord(txn::Transaction* txn, TxnId txn_id,
     case LogRecordType::kBtreeDelete: {
       // Logical undo: the key may have moved since, so the inverse runs
       // through the tree and the CLR names the leaf it landed on.
-      btree::BTree* index = index_of(TableInfo{.index_store = rec.store});
+      TableInfo table;
+      table.index_store = rec.store;
+      btree::BTree* index = index_of(table);
       if (index == nullptr) return Status::Internal("undo: unknown index");
       bool inserted = rec.type == LogRecordType::kBtreeInsert;
       const std::vector<uint8_t>& entry = inserted ? rec.after : rec.before;
@@ -693,7 +695,7 @@ Status StorageManager::UndoRecord(txn::Transaction* txn, TxnId txn_id,
       return Status::Ok();
   }
 
-  SHOREMT_ASSIGN_OR_RETURN(log::Appended a, log_->AppendClr(clr));
+  SHOREMT_ASSIGN_OR_RETURN(log::Appended a, log_->Append(clr));
   if (txn != nullptr) txns_->NoteLogged(txn, a.lsn, a.end);
   if (handle.valid()) handle.MarkDirty(a.end, a.lsn);
   return Status::Ok();

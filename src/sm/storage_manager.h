@@ -199,7 +199,7 @@ class StorageManager {
   /// redo pass starts at LSN 1 regardless of checkpoint low-water marks
   /// (the restored volume is empty — no pre-checkpoint page state exists).
   Status Recover();
-  /// Replica promotion: analysis only (the replay pool already applied
+  /// Replica promotion: analysis only (the replica's replay already applied
   /// every committed record), then structure-only undo of losers — their
   /// commit-gated heap records were never applied, so only their
   /// immediately-applied B-tree records need compensation — and a formal

@@ -5,14 +5,9 @@
 
 namespace shoremt::sync {
 
-BoundedExecutor::BoundedExecutor(size_t threads, size_t queue_capacity)
-    : capacity_(std::max<size_t>(1, queue_capacity)) {
-  size_t n = std::max<size_t>(1, threads);
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+BoundedExecutor::BoundedExecutor(size_t queue_capacity)
+    : capacity_(std::max<size_t>(1, queue_capacity)),
+      worker_([this] { WorkerLoop(); }) {}
 
 BoundedExecutor::~BoundedExecutor() {
   Drain();
@@ -21,9 +16,7 @@ BoundedExecutor::~BoundedExecutor() {
     stop_ = true;
   }
   work_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  worker_.join();
 }
 
 void BoundedExecutor::Submit(std::function<void()> task) {
@@ -45,7 +38,7 @@ void BoundedExecutor::Submit(std::function<void()> task) {
 
 void BoundedExecutor::Drain() {
   std::unique_lock<std::mutex> lk(mutex_);
-  idle_cv_.wait(lk, [&] { return queue_.empty() && running_ == 0; });
+  idle_cv_.wait(lk, [&] { return queue_.empty() && !running_; });
 }
 
 void BoundedExecutor::WorkerLoop() {
@@ -55,13 +48,13 @@ void BoundedExecutor::WorkerLoop() {
     if (queue_.empty()) break;  // stop_ with an empty queue.
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
-    ++running_;
+    running_ = true;
     lk.unlock();
     space_cv_.notify_one();
     task();
     lk.lock();
-    --running_;
-    if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
+    running_ = false;
+    if (queue_.empty()) idle_cv_.notify_all();
   }
 }
 

@@ -7,25 +7,21 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 namespace shoremt::sync {
 
-/// A small fixed-size worker pool with a BOUNDED task queue: Submit blocks
-/// the producer while the queue is full, so a slow consumer exerts
+/// One worker thread behind a BOUNDED task queue: Submit blocks the
+/// producer while the queue is full, so a slow consumer exerts
 /// backpressure instead of growing an unbounded backlog. Built for the
 /// flush pipeline's durability-callback dispatch — the group-commit daemon
-/// hands each batch of due OnDurable closures to this pool and returns to
-/// flushing, so a slow user callback can no longer stall commit
-/// acknowledgement — but it is a general primitive.
-///
-/// Ordering: with one worker thread (the pipeline's default) tasks run in
-/// exact submission order; with more, tasks start in submission order but
-/// may complete out of order.
+/// hands each batch of due OnDurable closures to this executor and returns
+/// to flushing, so a slow user callback can no longer stall commit
+/// acknowledgement — but it is a general primitive. Tasks run in exact
+/// submission order.
 class BoundedExecutor {
  public:
-  BoundedExecutor(size_t threads, size_t queue_capacity);
-  /// Drains every queued task, then stops and joins the workers.
+  explicit BoundedExecutor(size_t queue_capacity);
+  /// Drains every queued task, then stops and joins the worker.
   ~BoundedExecutor();
 
   BoundedExecutor(const BoundedExecutor&) = delete;
@@ -36,24 +32,22 @@ class BoundedExecutor {
   /// silently dropped).
   void Submit(std::function<void()> task);
 
-  /// Blocks until the queue is empty and every worker is idle. Tasks
+  /// Blocks until the queue is empty and the worker is idle. Tasks
   /// submitted concurrently with Drain may or may not be covered.
   void Drain();
-
-  size_t queue_capacity() const { return capacity_; }
 
  private:
   void WorkerLoop();
 
   const size_t capacity_;
   std::mutex mutex_;
-  std::condition_variable work_cv_;   ///< Workers sleep here.
+  std::condition_variable work_cv_;   ///< The worker sleeps here.
   std::condition_variable space_cv_;  ///< Full-queue producers sleep here.
   std::condition_variable idle_cv_;   ///< Drain sleeps here.
   std::deque<std::function<void()>> queue_;
-  size_t running_ = 0;  ///< Tasks currently executing on workers.
+  bool running_ = false;  ///< The worker is executing a task.
   bool stop_ = false;
-  std::vector<std::thread> workers_;
+  std::thread worker_;
 };
 
 }  // namespace shoremt::sync

@@ -1,7 +1,7 @@
 /// Tests for the log-shipping replication subsystem (src/repl): segment
 /// archiving on Recycle, point-in-time restore from the archive,
 /// streamed segments + tail deltas over loopback sockets, commit-gated
-/// partitioned parallel redo with a published replayed-LSN horizon,
+/// replay with a published replayed-LSN horizon, replay errors,
 /// torn-shipment detection/re-request, replica promotion, and the
 /// bounded-executor dispatch of OnDurable closures.
 
@@ -31,7 +31,6 @@
 #include "page/page.h"
 #include "repl/archive.h"
 #include "repl/framing.h"
-#include "repl/replay_pool.h"
 #include "repl/replica.h"
 #include "repl/shipper.h"
 #include "sm/options.h"
@@ -236,7 +235,6 @@ TEST(ReplTest, ReplicaServesCommittedPrefixAtHorizon) {
   LogStorage rwal(0, 4096);
   repl::Replica::Options ro;
   ro.storage = EngineOptions(4096);
-  ro.replay_workers = 4;
   repl::Replica replica(&rvolume, &rwal, ro);
   ASSERT_TRUE(replica.Start(net.fds[1]).ok());
   replica.RegisterMetrics();
@@ -286,6 +284,11 @@ TEST(ReplTest, ReplicaServesCommittedPrefixAtHorizon) {
   EXPECT_GT(rs[obs::Metric::kReplSegmentsApplied], 0u);
   EXPECT_GE(rs[obs::Metric::kReplBytesStreamed], wal.size());
   EXPECT_GT(rs[obs::Metric::kReplReplayBatches], 0u);
+  // The shipper counts a frame once its send returns, which can be after
+  // the replica has already applied it: wait for the count to land.
+  for (int i = 0; i < 5000 && shipper.bytes_streamed() < wal.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   obs::MetricsSnapshot ps = db->metrics()->Snapshot();
   EXPECT_GT(ps[obs::Metric::kReplSegmentsShipped], 0u);
   EXPECT_GE(ps[obs::Metric::kReplBytesStreamed], wal.size());
@@ -388,7 +391,7 @@ TEST(ReplTest, FailoverPromoteServesExactlyCommittedPrefix) {
   ASSERT_TRUE(rs->Commit().ok());
 }
 
-// -------------------------------------------- parallel redo equivalence ----
+// -------------------------------------------- forced redo equivalence ----
 
 /// Feeds every redo-able record of `stream` to `apply` in log order;
 /// metadata goes straight to the manager.
@@ -421,9 +424,9 @@ void ForEachRecord(
   ASSERT_EQ(reader.offset(), stream.size()) << "torn record in the stream";
 }
 
-TEST(ReplTest, ParallelReplayByteIdenticalToSequentialRedo) {
+TEST(ReplTest, ForcedReplayByteIdenticalToGuardedRedo) {
   // A workload with page reuse, updates, deletes and aborted transactions
-  // (CLRs), spread over enough pages to give 4 partitions real work.
+  // (CLRs), spread over many pages.
   io::MemVolume volume;
   LogStorage wal(0, 1 << 20);
   {
@@ -461,39 +464,30 @@ TEST(ReplTest, ParallelReplayByteIdenticalToSequentialRedo) {
   std::vector<uint8_t> stream;
   ASSERT_TRUE(wal.ReadFrom(0, &stream).ok());
 
-  // Two fresh instances replay the identical stream: one sequentially
-  // through the guarded ApplyRedo reference, one through the 4-way
-  // partitioned pool, whose applies are forced. The stream is in LSN order
-  // and replays onto an empty volume, so both write the same bytes.
-  auto replay = [&](bool parallel, io::MemVolume* v) {
+  // Two fresh instances replay the identical stream serially: one through
+  // the guarded ApplyRedo reference (restart redo), one with every apply
+  // forced, as the replica applies. The stream is in LSN order and
+  // replays onto an empty volume, so both write the same bytes.
+  auto replay = [&](bool force, io::MemVolume* v) {
     LogStorage w(0, 1 << 20);
     ASSERT_TRUE(w.Append(stream).ok());
     sm::StorageOptions o = EngineOptions(1 << 20);
     o.open_mode = sm::OpenMode::kReplicaAttach;
     auto sm = std::move(*sm::StorageManager::Open(o, v, &w));
-    if (parallel) {
-      repl::ReplayPool pool(sm.get(), 4);
-      ForEachRecord(stream, sm.get(), [&](LogRecord rec, Lsn end) {
-        pool.Dispatch(std::move(rec), end);
-      });
-      ASSERT_TRUE(pool.Drain().ok()) << pool.error().ToString();
-      EXPECT_GT(pool.batches(), 0u);
-    } else {
-      ForEachRecord(stream, sm.get(), [&](LogRecord rec, Lsn end) {
-        ASSERT_TRUE(sm->ApplyRedo(rec, end, /*force=*/false).ok());
-      });
-    }
+    ForEachRecord(stream, sm.get(), [&](LogRecord rec, Lsn end) {
+      ASSERT_TRUE(sm->ApplyRedo(rec, end, force).ok());
+    });
     ASSERT_TRUE(sm->Shutdown().ok());  // flush every page to the volume
   };
-  io::MemVolume seq_vol, par_vol;
-  replay(false, &seq_vol);
-  replay(true, &par_vol);
+  io::MemVolume guarded_vol, forced_vol;
+  replay(false, &guarded_vol);
+  replay(true, &forced_vol);
 
-  ASSERT_EQ(seq_vol.NumPages(), par_vol.NumPages());
+  ASSERT_EQ(guarded_vol.NumPages(), forced_vol.NumPages());
   std::vector<uint8_t> a(kPageSize), b(kPageSize);
-  for (PageNum p = 0; p < seq_vol.NumPages(); ++p) {
-    ASSERT_TRUE(seq_vol.ReadPage(p, a.data()).ok());
-    ASSERT_TRUE(par_vol.ReadPage(p, b.data()).ok());
+  for (PageNum p = 0; p < guarded_vol.NumPages(); ++p) {
+    ASSERT_TRUE(guarded_vol.ReadPage(p, a.data()).ok());
+    ASSERT_TRUE(forced_vol.ReadPage(p, b.data()).ok());
     ASSERT_EQ(std::memcmp(a.data(), b.data(), kPageSize), 0)
         << "page " << p << " diverged";
   }
@@ -538,6 +532,68 @@ TEST(ReplayTest, MalformedBTreePayloadIsCorruption) {
   }
   session.reset();
   ASSERT_TRUE(db->Shutdown().ok());
+}
+
+TEST(ReplTest, ReplayErrorEndsStreamAndWakesWaiters) {
+  // A primary log holding a table (its catalog, store and pages), then a
+  // B-tree insert whose payload has the wrong length: it passes the log's
+  // CRC, but applying it is Corruption.
+  io::MemVolume volume;
+  LogStorage wal(0, 1 << 20);
+  {
+    auto db = std::move(
+        *sm::StorageManager::Open(EngineOptions(1 << 20), &volume, &wal));
+    auto session = db->OpenSession();
+    ASSERT_TRUE(session->Begin().ok());
+    auto table = session->CreateTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(session->Commit().ok());
+    LogRecord bad;
+    bad.type = LogRecordType::kBtreeInsert;
+    bad.page = table->index_root;
+    bad.store = table->index_store;
+    bad.after = {1, 2, 3};
+    ASSERT_TRUE(db->log()->Append(bad).ok());
+    ASSERT_TRUE(db->log()->FlushAll().ok());
+    session.reset();
+    db->SimulateCrash();
+  }
+  std::vector<uint8_t> stream;
+  ASSERT_TRUE(wal.ReadFrom(0, &stream).ok());
+  uint64_t end = stream.size() + 1;
+
+  Loopback net;
+  io::MemVolume rvolume;
+  LogStorage rwal(0, 1 << 20);
+  repl::Replica::Options ro;
+  ro.storage = EngineOptions(1 << 20);
+  repl::Replica replica(&rvolume, &rwal, ro);
+  ASSERT_TRUE(replica.Start(net.fds[1]).ok());
+
+  // Play the primary by hand: one tail delta carrying the whole log. The
+  // primary's side of the socket stays open, so only the replay error can
+  // end the wait early.
+  int fd = net.fds[0];
+  repl::Frame hello;
+  ASSERT_TRUE(repl::ReadFrame(fd, &hello).ok());
+  ASSERT_EQ(hello.type, repl::FrameType::kHello);
+  uint64_t head[1] = {0};
+  ASSERT_TRUE(
+      repl::WriteFrame(fd, repl::FrameType::kTailDelta, head, stream).ok());
+
+  auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(replica.WaitReplayed(end, 10000));
+  auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LT(waited.count(), 1000);
+  EXPECT_LT(replica.replayed_lsn(), end);
+  EXPECT_EQ(replica.error().code(), StatusCode::kCorruption)
+      << replica.error().ToString();
+  EXPECT_TRUE(replica.stream_ended());
+
+  Status promoted = replica.Promote();
+  EXPECT_EQ(promoted.code(), StatusCode::kCorruption) << promoted.ToString();
+  EXPECT_FALSE(replica.promoted());
 }
 
 // ------------------------------------------------------- torn shipment ----
@@ -696,57 +752,6 @@ TEST(DurableCallbackExecutorTest, SlowCallbackDoesNotStallGroupCommit) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(slow_done.load());
-}
-
-TEST(DurableCallbackExecutorTest, MultipleWorkersRunBatchesConcurrently) {
-  LogStorage storage;
-  LogOptions opts;
-  opts.durable_callback_threads = 2;
-  LogManager mgr(&storage, opts);
-
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<bool> first_entered{false};
-  std::atomic<bool> second_fired{false};
-
-  LogRecord rec;
-  rec.type = LogRecordType::kPageUpdate;
-  rec.txn = 1;
-  rec.page = 1;
-  rec.after = {1};
-  auto a1 = mgr.Append(rec);
-  ASSERT_TRUE(a1.ok());
-  mgr.OnDurable(a1->end, [&](Status) {
-    first_entered.store(true, std::memory_order_release);
-    std::unique_lock<std::mutex> lk(gate_mutex);
-    gate_cv.wait(lk, [&] { return gate_open; });
-  });
-  for (int i = 0; i < 5000 && !first_entered.load(std::memory_order_acquire);
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(first_entered.load());
-
-  // A later batch's callback lands on the second worker and completes
-  // while the first is still parked.
-  auto a2 = mgr.Append(rec);
-  ASSERT_TRUE(a2.ok());
-  mgr.OnDurable(a2->end, [&](Status st) {
-    EXPECT_TRUE(st.ok());
-    second_fired.store(true, std::memory_order_release);
-  });
-  for (int i = 0; i < 5000 && !second_fired.load(std::memory_order_acquire);
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(second_fired.load());
-
-  {
-    std::lock_guard<std::mutex> lk(gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
 }
 
 }  // namespace
